@@ -50,7 +50,7 @@ type report struct {
 }
 
 func main() {
-	benchRe := flag.String("bench", "SingleRun|CompressPipeline", "benchmark regexp passed to go test -bench")
+	benchRe := flag.String("bench", "SingleRun", "benchmark regexp passed to go test -bench")
 	count := flag.Int("count", 5, "repeats per benchmark (go test -count)")
 	benchtime := flag.String("benchtime", "2x", "fixed iteration budget (go test -benchtime)")
 	pkg := flag.String("pkg", ".", "package holding the benchmarks")
@@ -173,9 +173,11 @@ func minF(a, b float64) float64 {
 	return a
 }
 
-// checkBaseline fails if any benchmark present in both reports regressed
-// its allocs/op by more than threshold. The +0.5 slack keeps zero- and
-// near-zero-allocation baselines from tripping on a single stray object.
+// checkBaseline fails if any baseline benchmark is missing from this run or
+// regressed its allocs/op by more than threshold. A missing benchmark is an
+// error so that deleting or renaming one cannot silently drop it from the
+// gate. The +0.5 slack keeps zero- and near-zero-allocation baselines from
+// tripping on a single stray object.
 func checkBaseline(cur *report, path string, threshold float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -185,19 +187,22 @@ func checkBaseline(cur *report, path string, threshold float64) error {
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %v", path, err)
 	}
-	names := make([]string, 0, len(cur.Benchmarks))
-	for name := range cur.Benchmarks {
+	names := make([]string, 0, len(base.Benchmarks))
+	for name := range base.Benchmarks {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	checked, failed := 0, 0
+	checked, failed, missing := 0, 0, 0
 	for _, name := range names {
-		b, ok := base.Benchmarks[name]
+		b := base.Benchmarks[name]
+		c, ok := cur.Benchmarks[name]
 		if !ok {
+			missing++
+			fmt.Fprintf(os.Stderr, "benchjson: %s is in baseline %s but this run did not produce it\n", name, path)
 			continue
 		}
 		checked++
-		got, limit := cur.Benchmarks[name].AllocsPerOp, b.AllocsPerOp*(1+threshold)+0.5
+		got, limit := c.AllocsPerOp, b.AllocsPerOp*(1+threshold)+0.5
 		if got > limit {
 			failed++
 			fmt.Fprintf(os.Stderr, "benchjson: %s allocs/op regressed: %.0f > limit %.1f (baseline %.0f)\n",
@@ -209,6 +214,9 @@ func checkBaseline(cur *report, path string, threshold float64) error {
 	}
 	if checked == 0 {
 		return fmt.Errorf("baseline %s shares no benchmarks with this run", path)
+	}
+	if missing > 0 {
+		return fmt.Errorf("%d baseline benchmark(s) missing from this run", missing)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed allocs/op beyond %.0f%%", failed, threshold*100)

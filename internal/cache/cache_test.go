@@ -155,6 +155,31 @@ func TestHierarchyWritebackOnFlush(t *testing.T) {
 	}
 }
 
+// TestHierarchyFlushOrder pins that Flush writes dirty lines back in
+// ascending address order, each once, whatever order they were dirtied in.
+func TestHierarchyFlushOrder(t *testing.T) {
+	h, ctrl, _ := newTestHierarchy(t)
+	// 16 consecutive lines fill the 8-set, 2-way LLC exactly, so nothing is
+	// written back before the flush; write them from the top down on
+	// alternating cores.
+	const lines = 16
+	for i := lines - 1; i >= 0; i-- {
+		h.Access(i%2, uint64(100*(lines-i)), uint64(i*64), true)
+	}
+	if len(ctrl.writes) != 0 {
+		t.Fatalf("writebacks before flush: %v", ctrl.writes)
+	}
+	h.Flush(10000)
+	if len(ctrl.writes) != lines {
+		t.Fatalf("flush wrote back %d lines, want %d: %v", len(ctrl.writes), lines, ctrl.writes)
+	}
+	for i := 1; i < len(ctrl.writes); i++ {
+		if ctrl.writes[i] <= ctrl.writes[i-1] {
+			t.Fatalf("flush writebacks not strictly ascending: %v", ctrl.writes)
+		}
+	}
+}
+
 func TestHierarchyDirtyEviction(t *testing.T) {
 	h, ctrl, _ := newTestHierarchy(t)
 	// Write one line, then stream enough lines through the same LLC set to

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"baryon/internal/hybrid"
 	"baryon/internal/obs"
@@ -283,19 +284,16 @@ func (h *Hierarchy) writeback(addr uint64, now uint64) {
 // controller and invalidates all levels, leaving the controller's data plane
 // equal to the functional image. Used by integrity tests and at end of runs.
 func (h *Hierarchy) Flush(now uint64) {
-	seen := make(map[uint64]bool)
+	// Write back in ascending address order, each line once, so the
+	// controller sees the same writeback sequence on every run.
+	var dirty []uint64
 	for core := 0; core < h.cfg.Cores; core++ {
-		for _, a := range h.l1[core].DirtyLines() {
-			seen[a] = true
-		}
-		for _, a := range h.l2[core].DirtyLines() {
-			seen[a] = true
-		}
+		dirty = append(dirty, h.l1[core].DirtyLines()...)
+		dirty = append(dirty, h.l2[core].DirtyLines()...)
 	}
-	for _, a := range h.llc.DirtyLines() {
-		seen[a] = true
-	}
-	for a := range seen {
+	dirty = append(dirty, h.llc.DirtyLines()...)
+	slices.Sort(dirty)
+	for _, a := range slices.Compact(dirty) {
 		h.writeback(a, now)
 	}
 	for core := 0; core < h.cfg.Cores; core++ {

@@ -157,10 +157,9 @@ func (c *Controller) rangeStillFits(content []byte, cf int) bool {
 }
 
 // rangeFits adapts compress.RangeFits to the controller's sub-block size
-// (256 B default, 64 B for Baryon-64B). The trial runs on the engine's
-// fit-check arena, which fans the per-chunk checks of aligned mode across
-// the shared worker pool; the verdict is byte-identical to evaluating them
-// serially (pure predicates, index-slotted results).
+// (256 B default, 64 B for Baryon-64B): in aligned mode each 64*cf-byte
+// chunk must independently compress into one cacheline (Fig. 7); otherwise
+// the whole range must fit one sub-block slot.
 func (c *Controller) rangeFits(content []byte, cf int) bool {
 	if cf == 1 {
 		return true
@@ -168,23 +167,16 @@ func (c *Controller) rangeFits(content []byte, cf int) bool {
 	if c.cfg.CompressionOff {
 		return false
 	}
-	a := c.arena
-	a.Begin()
-	g := c.addRangeFit(content, cf)
-	a.Run()
-	return a.Fits(g)
-}
-
-// addRangeFit queues one range's fit trial on the arena and returns its
-// group handle: in aligned mode each 64*cf-byte chunk must independently
-// compress into one cacheline (Fig. 7); otherwise the whole range must fit
-// one sub-block slot. Callers batching several ranges (frame evictions)
-// call this between Begin and Run; rangeFits wraps the single-range case.
-func (c *Controller) addRangeFit(content []byte, cf int) int {
 	if !c.cfg.CachelineAligned {
-		return c.arena.AddWhole(content, int(c.geom.subBytes))
+		return c.comp.FitsWithin(content, int(c.geom.subBytes))
 	}
-	return c.arena.AddChunked(content, 64*cf, 64)
+	chunk := 64 * cf
+	for off := 0; off < len(content); off += chunk {
+		if !c.comp.FitsWithin(content[off:min(off+chunk, len(content))], 64) {
+			return false
+		}
+	}
+	return true
 }
 
 // restageOverflowedRange removes the overflowed range and reinserts its

@@ -8,7 +8,6 @@
 package experiment
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -202,16 +201,31 @@ func LoadSpecFile(path string) (DesignSpec, error) {
 	if err != nil {
 		return DesignSpec{}, err
 	}
-	var spec DesignSpec
+	var f specFile
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(&f); err != nil {
 		return DesignSpec{}, fmt.Errorf("%s: %w", path, err)
 	}
+	spec := f.DesignSpec
+	spec.Overrides = f.Overrides.Overrides
 	if err := Register(spec); err != nil {
 		return DesignSpec{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return spec, nil
+}
+
+// specFile is the on-disk form LoadSpecFile decodes. Its overrides also
+// accept the retired "compressWorkers" knob, a fit-check worker count that
+// never affected results, so older design files keep loading. The value is
+// dropped and never reaches the spec hash; every other unknown field is
+// still rejected.
+type specFile struct {
+	DesignSpec
+	Overrides struct {
+		config.Overrides
+		CompressWorkers *int `json:"compressWorkers,omitempty"`
+	} `json:"overrides,omitempty"`
 }
 
 // SaveSpecFile writes a DesignSpec as indented JSON, the format
@@ -330,13 +344,4 @@ func RunOne(cfg config.Config, w trace.Workload, design string) cpu.Result {
 	res := r.Run()
 	res.Design = design
 	return res
-}
-
-// RunOneCtx is RunOne with error reporting and cooperative cancellation: an
-// unknown design or an invalid spec returns an error instead of panicking,
-// and a cancelled ctx stops the replay and returns the partial metrics with
-// ctx's error. With a background context the result is bit-identical to
-// RunOne.
-func RunOneCtx(ctx context.Context, cfg config.Config, w trace.Workload, design string) (cpu.Result, error) {
-	return RunPairCtx(ctx, Pair{Cfg: cfg, Workload: w, Design: design})
 }

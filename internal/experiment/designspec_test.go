@@ -62,14 +62,22 @@ func TestRegisterRejectsBadSpecs(t *testing.T) {
 }
 
 // TestLoadSpecFileRejectsUnknownFields pins DisallowUnknownFields: a typo'd
-// override key fails loudly instead of being silently ignored.
+// key fails loudly instead of being silently ignored. The retired
+// compressWorkers override is accepted only inside overrides.
 func TestLoadSpecFileRejectsUnknownFields(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "typo.json")
-	if err := writeFile(path, `{"name":"X-Typo","kind":"baryon","overrides":{"blockBites":512}}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSpecFile(path); err == nil {
-		t.Fatal("LoadSpecFile accepted an unknown override field")
+	for _, body := range []string{
+		`{"name":"X-Typo","kind":"baryon","overrides":{"blockBites":512}}`,
+		`{"name":"X-Typo","kind":"baryon","overides":{}}`,
+		`{"name":"X-Typo","kind":"baryon","compressWorkers":4}`,
+		`{"name":"X-Typo","kind":"simple","policy":{"compressWorkers":4}}`,
+	} {
+		path := filepath.Join(t.TempDir(), "typo.json")
+		if err := writeFile(path, body); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSpecFile(path); err == nil {
+			t.Fatalf("LoadSpecFile accepted an unknown field: %s", body)
+		}
 	}
 }
 

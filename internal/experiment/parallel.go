@@ -363,23 +363,6 @@ func RunPairs(pairs []Pair) []cpu.Result {
 	return out
 }
 
-// RunMatrixCtx runs the full workloads x designs grid under cfg and returns
-// per-job outcomes indexed as [workload][design], matching the input slices.
-func RunMatrixCtx(ctx context.Context, cfg config.Config, workloads []trace.Workload, designs []string) [][]PairResult {
-	pairs := make([]Pair, 0, len(workloads)*len(designs))
-	for _, w := range workloads {
-		for _, d := range designs {
-			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
-		}
-	}
-	flat := RunPairsCtx(ctx, pairs)
-	out := make([][]PairResult, len(workloads))
-	for wi := range workloads {
-		out[wi] = flat[wi*len(designs) : (wi+1)*len(designs)]
-	}
-	return out
-}
-
 // RunMatrix runs the full workloads x designs grid under cfg and returns
 // results indexed as [workload][design], matching the input slices. Like
 // RunPairs it is strict: per-job errors escalate to panics.

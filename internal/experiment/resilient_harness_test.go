@@ -53,11 +53,11 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestRunOneCtxErrors pins the error (not panic) contract of the validated
-// entry point.
+// single-pair entry point, RunPairCtx.
 func TestRunOneCtxErrors(t *testing.T) {
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	if _, err := RunOneCtx(context.Background(), cfg, w, "No-Such-Design"); err == nil {
+	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "No-Such-Design"}); err == nil {
 		t.Fatal("unknown design did not error")
 	}
 	// A replacement knob on a kind without one is a spec-level error.
@@ -68,14 +68,14 @@ func TestRunOneCtxErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if _, err := RunOneCtx(context.Background(), cfg, w, "BadKnob-Baryon"); err == nil ||
+	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "BadKnob-Baryon"}); err == nil ||
 		!strings.Contains(err.Error(), "replacement-policy") {
 		t.Fatalf("bad knob error = %v, want replacement-policy error", err)
 	}
 	// A pre-cancelled context refuses to run at all.
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunOneCtx(done, cfg, w, DesignSimple); !errors.Is(err, context.Canceled) {
+	if _, err := RunPairCtx(done, Pair{Cfg: cfg, Workload: w, Design: DesignSimple}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run error = %v, want context.Canceled", err)
 	}
 }
