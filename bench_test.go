@@ -7,6 +7,8 @@
 package baryon
 
 import (
+	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,7 +39,7 @@ func BenchmarkTableI_Metadata(b *testing.B) {
 func BenchmarkFig3_StageBreakdown(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.Fig3a(cfg)
+		rows, _ := experiment.Fig3a(experiment.Runner{}, cfg)
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -54,7 +56,7 @@ func BenchmarkFig3_StageBreakdown(b *testing.B) {
 func BenchmarkFig4_StagePhase(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		res, _ := experiment.Fig4(cfg)
+		res, _ := experiment.Fig4(experiment.Runner{}, cfg)
 		if len(res.Boxes) != 10 {
 			b.Fatal("bad bucket count")
 		}
@@ -68,7 +70,7 @@ func BenchmarkFig4_StagePhase(b *testing.B) {
 func BenchmarkFig9_CacheMode(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		m, _ := experiment.Fig9(cfg)
+		m, _ := experiment.Fig9(experiment.Runner{}, cfg)
 		b.ReportMetric(m.GeoMean[experiment.DesignBaryon], "baryon-geomean")
 		b.ReportMetric(m.GeoMean[experiment.DesignUnison], "unison-geomean")
 		b.ReportMetric(m.GeoMean[experiment.DesignDICE], "dice-geomean")
@@ -78,7 +80,7 @@ func BenchmarkFig9_CacheMode(b *testing.B) {
 func BenchmarkFig10_FlatMode(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		m, _ := experiment.Fig10(cfg)
+		m, _ := experiment.Fig10(experiment.Runner{}, cfg)
 		b.ReportMetric(m.GeoMean[experiment.DesignBaryonFA], "fa-over-hybrid2")
 	}
 }
@@ -86,7 +88,7 @@ func BenchmarkFig10_FlatMode(b *testing.B) {
 func BenchmarkFig11_ServeBloat(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.Fig11(cfg)
+		rows, _ := experiment.Fig11(experiment.Runner{}, cfg)
 		if len(rows) != len(trace.All()) {
 			b.Fatal("missing workloads")
 		}
@@ -96,7 +98,7 @@ func BenchmarkFig11_ServeBloat(b *testing.B) {
 func BenchmarkFig12_CompressionAblation(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.Fig12(cfg)
+		rows, _ := experiment.Fig12(experiment.Runner{}, cfg)
 		if len(rows) == 0 {
 			b.Fatal("no rows")
 		}
@@ -106,35 +108,35 @@ func BenchmarkFig12_CompressionAblation(b *testing.B) {
 func BenchmarkFig13a_TwoLevelReplacement(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13a(cfg)
+		experiment.Fig13a(experiment.Runner{}, cfg)
 	}
 }
 
 func BenchmarkFig13b_SuperBlockSize(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13b(cfg)
+		experiment.Fig13b(experiment.Runner{}, cfg)
 	}
 }
 
 func BenchmarkFig13c_StageSize(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13c(cfg)
+		experiment.Fig13c(experiment.Runner{}, cfg)
 	}
 }
 
 func BenchmarkFig13d_CommitPolicy(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig13d(cfg)
+		experiment.Fig13d(experiment.Runner{}, cfg)
 	}
 }
 
 func BenchmarkEnergy(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		res, _ := experiment.Energy(cfg)
+		res, _ := experiment.Energy(experiment.Runner{}, cfg)
 		b.ReportMetric(res.SavingsVsUnison, "saving-vs-unison")
 		b.ReportMetric(res.SavingsVsDICE, "saving-vs-dice")
 	}
@@ -143,28 +145,28 @@ func BenchmarkEnergy(b *testing.B) {
 func BenchmarkExtra_AssocSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.AssocSweep(cfg)
+		experiment.AssocSweep(experiment.Runner{}, cfg)
 	}
 }
 
 func BenchmarkExtra_SubBlockSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.SubBlockSweep(cfg)
+		experiment.SubBlockSweep(experiment.Runner{}, cfg)
 	}
 }
 
 func BenchmarkExtra_CompressorComparison(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		experiment.CompressorComparison(cfg)
+		experiment.CompressorComparison(experiment.Runner{}, cfg)
 	}
 }
 
 func BenchmarkExtra_RemapCacheSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, _ := experiment.RemapCacheSweep(cfg)
+		rows, _ := experiment.RemapCacheSweep(experiment.Runner{}, cfg)
 		// Report the biggest cache's mean hit rate (paper: >90%).
 		sum, n := 0.0, 0
 		for _, r := range rows {
@@ -185,22 +187,19 @@ func BenchmarkExtra_RemapCacheSweep(b *testing.B) {
 // single-CPU machine, approaching the worker count on larger ones).
 func BenchmarkFig9Parallel(b *testing.B) {
 	cfg := benchConfig()
-	defer experiment.SetParallelism(0)
 
-	experiment.SetParallelism(1)
 	serialStart := time.Now()
-	experiment.Fig9(cfg)
+	experiment.Fig9(experiment.Runner{Workers: 1}, cfg)
 	serial := time.Since(serialStart)
 
-	experiment.SetParallelism(0) // GOMAXPROCS workers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiment.Fig9(cfg)
+		experiment.Fig9(experiment.Runner{}, cfg) // GOMAXPROCS workers
 	}
 	parallel := b.Elapsed() / time.Duration(b.N)
 	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup-vs-serial")
-	b.ReportMetric(float64(experiment.Parallelism()), "workers")
+	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 }
 
 // BenchmarkSingleRun measures the simulator's own throughput on one
@@ -212,7 +211,10 @@ func BenchmarkSingleRun(b *testing.B) {
 	w, _ := trace.ByName("505.mcf_r")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := experiment.RunOne(cfg, w, experiment.DesignBaryon)
+		res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: experiment.DesignBaryon})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Cycles == 0 {
 			b.Fatal("no cycles")
 		}

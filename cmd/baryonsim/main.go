@@ -67,12 +67,13 @@ func main() {
 	defer stopSignals()
 	// The shared service-layer lifecycle: -timeout deadline and -design-file
 	// registration.
-	ctx, cleanup, err := common.Setup(ctx, os.Stderr)
+	r, cleanup, err := common.Setup(ctx, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	defer cleanup()
+	ctx = r.Ctx
 
 	// A custom design from -design-file joins the registry before any name
 	// validation; unless -design was set explicitly, it is also the design

@@ -39,18 +39,16 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// The shared service-layer lifecycle: -timeout deadline, -parallel pool
-	// size, -bundle-dir observer.
-	ctx, cleanup, err := common.Setup(ctx, os.Stderr)
+	// The shared service-layer lifecycle: the runner every harness takes
+	// carries the -timeout deadline, the -parallel pool size and the
+	// -bundle-dir observer.
+	r, cleanup, err := common.Setup(ctx, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	defer cleanup()
-	// The figure harnesses run through the legacy strict entry points;
-	// installing the command's context makes all of them cancellable at the
-	// worker-pool level.
-	experiment.SetRunContext(ctx)
+	ctx = r.Ctx
 
 	cfg := config.Scaled()
 	cfg.Seed = *seed
@@ -64,29 +62,29 @@ func main() {
 	}
 	experiments := []exp{
 		{"tablei", func() *experiment.Table { return experiment.TableI() }},
-		{"fig3a", func() *experiment.Table { _, t := experiment.Fig3a(cfg); return t }},
-		{"fig3b", func() *experiment.Table { _, t := experiment.Fig3b(cfg); return t }},
-		{"fig4", func() *experiment.Table { _, t := experiment.Fig4(cfg); return t }},
-		{"fig9", func() *experiment.Table { _, t := experiment.Fig9(cfg); return t }},
-		{"fig10", func() *experiment.Table { _, t := experiment.Fig10(cfg); return t }},
-		{"fig11", func() *experiment.Table { _, t := experiment.Fig11(cfg); return t }},
-		{"fig12", func() *experiment.Table { _, t := experiment.Fig12(cfg); return t }},
-		{"fig13a", func() *experiment.Table { _, t := experiment.Fig13a(cfg); return t }},
-		{"fig13b", func() *experiment.Table { _, t := experiment.Fig13b(cfg); return t }},
-		{"fig13c", func() *experiment.Table { _, t := experiment.Fig13c(cfg); return t }},
-		{"fig13d", func() *experiment.Table { _, t := experiment.Fig13d(cfg); return t }},
-		{"energy", func() *experiment.Table { _, t := experiment.Energy(cfg); return t }},
-		{"assoc", func() *experiment.Table { _, t := experiment.AssocSweep(cfg); return t }},
-		{"subblock", func() *experiment.Table { _, t := experiment.SubBlockSweep(cfg); return t }},
-		{"cpack", func() *experiment.Table { _, t := experiment.CompressorComparison(cfg); return t }},
-		{"remapcache", func() *experiment.Table { _, t := experiment.RemapCacheSweep(cfg); return t }},
-		{"slowmem", func() *experiment.Table { _, t := experiment.SlowMemSweep(cfg); return t }},
-		{"llcprefetch", func() *experiment.Table { _, t := experiment.PrefetchAblation(cfg); return t }},
-		{"osvshw", func() *experiment.Table { _, t := experiment.OSvsHW(cfg); return t }},
-		{"ddrfidelity", func() *experiment.Table { _, t := experiment.DDRFidelitySweep(cfg); return t }},
-		{"taillat", func() *experiment.Table { return experiment.TailLatency(cfg) }},
-		{"resilience", func() *experiment.Table { _, t := experiment.Resilience(cfg); return t }},
-		{"cxl", func() *experiment.Table { _, t := experiment.CXLSweep(cfg); return t }},
+		{"fig3a", func() *experiment.Table { _, t := experiment.Fig3a(r, cfg); return t }},
+		{"fig3b", func() *experiment.Table { _, t := experiment.Fig3b(r, cfg); return t }},
+		{"fig4", func() *experiment.Table { _, t := experiment.Fig4(r, cfg); return t }},
+		{"fig9", func() *experiment.Table { _, t := experiment.Fig9(r, cfg); return t }},
+		{"fig10", func() *experiment.Table { _, t := experiment.Fig10(r, cfg); return t }},
+		{"fig11", func() *experiment.Table { _, t := experiment.Fig11(r, cfg); return t }},
+		{"fig12", func() *experiment.Table { _, t := experiment.Fig12(r, cfg); return t }},
+		{"fig13a", func() *experiment.Table { _, t := experiment.Fig13a(r, cfg); return t }},
+		{"fig13b", func() *experiment.Table { _, t := experiment.Fig13b(r, cfg); return t }},
+		{"fig13c", func() *experiment.Table { _, t := experiment.Fig13c(r, cfg); return t }},
+		{"fig13d", func() *experiment.Table { _, t := experiment.Fig13d(r, cfg); return t }},
+		{"energy", func() *experiment.Table { _, t := experiment.Energy(r, cfg); return t }},
+		{"assoc", func() *experiment.Table { _, t := experiment.AssocSweep(r, cfg); return t }},
+		{"subblock", func() *experiment.Table { _, t := experiment.SubBlockSweep(r, cfg); return t }},
+		{"cpack", func() *experiment.Table { _, t := experiment.CompressorComparison(r, cfg); return t }},
+		{"remapcache", func() *experiment.Table { _, t := experiment.RemapCacheSweep(r, cfg); return t }},
+		{"slowmem", func() *experiment.Table { _, t := experiment.SlowMemSweep(r, cfg); return t }},
+		{"llcprefetch", func() *experiment.Table { _, t := experiment.PrefetchAblation(r, cfg); return t }},
+		{"osvshw", func() *experiment.Table { _, t := experiment.OSvsHW(r, cfg); return t }},
+		{"ddrfidelity", func() *experiment.Table { _, t := experiment.DDRFidelitySweep(r, cfg); return t }},
+		{"taillat", func() *experiment.Table { return experiment.TailLatency(r, cfg) }},
+		{"resilience", func() *experiment.Table { _, t := experiment.Resilience(r, cfg); return t }},
+		{"cxl", func() *experiment.Table { _, t := experiment.CXLSweep(r, cfg); return t }},
 	}
 
 	// Buffer stdout and check the flush: a deferred or implicit flush would
@@ -104,8 +102,8 @@ func main() {
 		start := time.Now()
 		table, err := runIsolated(e.run)
 		if err != nil {
-			// A cancelled worker pool surfaces as a panic from the strict
-			// entry points; classify it by the context state.
+			// A cancelled run surfaces as a panic from the strict
+			// harnesses; classify it by the context state.
 			if ctx.Err() != nil {
 				fmt.Fprintf(os.Stderr, "[%s cancelled after %.1fs]\n", e.name, time.Since(start).Seconds())
 				skipped++
@@ -135,8 +133,8 @@ func main() {
 }
 
 // runIsolated runs one experiment harness behind a panic boundary so a bad
-// run (or a cancelled worker pool escalating through the strict entry
-// points) fails only that experiment.
+// run (or a cancelled one escalating through the strict harnesses) fails
+// only that experiment.
 func runIsolated(run func() *experiment.Table) (t *experiment.Table, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {

@@ -56,14 +56,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The shared service-layer lifecycle: -timeout deadline, -parallel pool
-	// size, -design-files registration, -bundle-dir observer.
-	ctx, cleanup, err := common.Setup(ctx, stderr)
+	// The shared service-layer lifecycle: -design-files registration and
+	// the runner carrying the -timeout deadline, the -parallel pool size and
+	// the -bundle-dir observer.
+	r, cleanup, err := common.Setup(ctx, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer cleanup()
+	ctx = r.Ctx
 
 	cfg := config.Scaled()
 	if *accesses > 0 {
@@ -132,7 +134,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				pairs = append(pairs, experiment.Pair{Cfg: cfg, Workload: w, Design: d})
 			}
 		}
-		results := experiment.RunPairsCtx(ctx, pairs)
+		results := r.Run(pairs)
 		for i, pr := range results {
 			res := pr.Result
 			status := "ok"

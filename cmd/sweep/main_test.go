@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,5 +174,53 @@ func TestSweepCleanRun(t *testing.T) {
 	counts := statusCounts(rows)
 	if counts["ok"] != 1 || len(counts) != 1 {
 		t.Fatalf("status counts = %v, want only ok rows", counts)
+	}
+}
+
+// TestSweepConcurrentBundleDirs pins that each sweep owns its -bundle-dir
+// observer: two sweeps running at once in one process, with distinct
+// directories and seeds, each write exactly their own bundles.
+func TestSweepConcurrentBundleDirs(t *testing.T) {
+	dirs := []string{filepath.Join(t.TempDir(), "a"), filepath.Join(t.TempDir(), "b")}
+	seeds := [][]uint64{{1, 2}, {3, 4}}
+	codes := make([]int, len(dirs))
+	errs := make([]bytes.Buffer, len(dirs))
+	var wg sync.WaitGroup
+	for i := range dirs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var out bytes.Buffer
+			codes[i] = run(context.Background(), []string{
+				"-workloads", "505.mcf_r",
+				"-designs", "Simple,Baryon",
+				"-accesses", "2000",
+				"-seeds", fmt.Sprintf("%d,%d", seeds[i][0], seeds[i][1]),
+				"-bundle-dir", dirs[i],
+			}, &out, &errs[i])
+		}()
+	}
+	wg.Wait()
+	for i, dir := range dirs {
+		if codes[i] != 0 {
+			t.Fatalf("sweep %d exited %d\nstderr: %s", i, codes[i], errs[i].String())
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 2 designs x 2 seeds, every one of them this sweep's own.
+		if len(entries) != 4 {
+			t.Errorf("sweep %d: %d bundles in %s, want 4", i, len(entries), dir)
+		}
+		for _, e := range entries {
+			b, err := report.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := b.Spec.Seed; s != seeds[i][0] && s != seeds[i][1] {
+				t.Errorf("sweep %d (seeds %v): %s holds a seed-%d bundle of the other sweep", i, seeds[i], dir, s)
+			}
+		}
 	}
 }

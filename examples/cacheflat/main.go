@@ -6,9 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"baryon/internal/config"
+	"baryon/internal/cpu"
 	"baryon/internal/experiment"
 	"baryon/internal/trace"
 )
@@ -20,15 +23,22 @@ func main() {
 	fmt.Println("workload            scheme  design     cycles     serveRate  slowMB")
 	for _, name := range []string{"505.mcf_r", "549.fotonik3d_r", "YCSB-B"} {
 		w, _ := trace.ByName(name)
+		run := func(c config.Config, design string) cpu.Result {
+			res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Design: design})
+			if err != nil {
+				log.Fatal(err)
+			}
+			return res
+		}
 
 		cacheCfg := cfg
 		cacheCfg.Mode = config.ModeCache
-		cacheRes := experiment.RunOne(cacheCfg, w, experiment.DesignBaryon)
+		cacheRes := run(cacheCfg, experiment.DesignBaryon)
 
 		flatCfg := cfg
 		flatCfg.Mode = config.ModeFlat
 		flatCfg.FullyAssociative = true
-		flatRes := experiment.RunOne(flatCfg, w, experiment.DesignBaryonFA)
+		flatRes := run(flatCfg, experiment.DesignBaryonFA)
 
 		fmt.Printf("%-18s  cache   %-9s  %-9d  %6.1f%%   %6.1f\n",
 			name, cacheRes.Design, cacheRes.Cycles, 100*cacheRes.FastServeRate,

@@ -6,9 +6,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"baryon/internal/config"
+	"baryon/internal/cpu"
 	"baryon/internal/experiment"
 	"baryon/internal/trace"
 )
@@ -21,12 +24,19 @@ func main() {
 		w, _ := trace.ByName(name)
 		fmt.Printf("=== %s (%.0f%% writes, zipfian keys) ===\n", name, 100*w.WriteRatio)
 
-		dice := experiment.RunOne(cfg, w, experiment.DesignDICE)
-		baryon := experiment.RunOne(cfg, w, experiment.DesignBaryon)
+		run := func(c config.Config, design string) cpu.Result {
+			res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Design: design})
+			if err != nil {
+				log.Fatal(err)
+			}
+			return res
+		}
+		dice := run(cfg, experiment.DesignDICE)
+		baryon := run(cfg, experiment.DesignBaryon)
 
 		noZ := cfg
 		noZ.ZeroBlockOpt = false
-		baryonNoZ := experiment.RunOne(noZ, w, experiment.DesignBaryon)
+		baryonNoZ := run(noZ, experiment.DesignBaryon)
 
 		fmt.Printf("  DICE:              %9d cycles, serve %5.1f%%\n",
 			dice.Cycles, 100*dice.FastServeRate)

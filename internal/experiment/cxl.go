@@ -61,7 +61,7 @@ func cxlSweepTiers(linkBW float64) []config.TierConfig {
 // three-tier DRAM+NVM+CXL topology and reports cycles, speedup over
 // UnisonCache at the same bandwidth, and the expander's link vs internal
 // traffic. Runs are deterministic per cfg.Seed.
-func CXLSweep(cfg config.Config) ([]CXLRow, *Table) {
+func CXLSweep(r Runner, cfg config.Config) ([]CXLRow, *Table) {
 	w := trace.Representative()[0]
 	pairs := make([]Pair, 0, len(CXLDesigns)*len(CXLLinkBandwidths))
 	for _, bw := range CXLLinkBandwidths {
@@ -71,7 +71,7 @@ func CXLSweep(cfg config.Config) ([]CXLRow, *Table) {
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: d})
 		}
 	}
-	results := RunPairs(pairs)
+	results := r.mustRun(pairs)
 
 	var rows []CXLRow
 	t := &Table{

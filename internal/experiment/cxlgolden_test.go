@@ -79,7 +79,7 @@ func TestDesignsTiersGolden(t *testing.T) {
 // deterministic and refactor-stable end to end.
 func TestCXLSweepGolden(t *testing.T) {
 	cfg := designGoldenConfig()
-	_, table := CXLSweep(cfg)
+	_, table := CXLSweep(Runner{}, cfg)
 	var buf bytes.Buffer
 	table.Render(&buf)
 	compareGolden(t, "cxl_quick.golden", buf.Bytes())
@@ -101,7 +101,7 @@ func TestTierSpecFilesEndToEnd(t *testing.T) {
 		}
 		cfg := designGoldenConfig()
 		cfg.AccessesPerCore = 500
-		res, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: spec.Name})
+		res, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: spec.Name})
 		if err != nil {
 			t.Fatalf("%s: running %s: %v", file, spec.Name, err)
 		}

@@ -21,7 +21,6 @@ import (
 	"baryon/internal/cpu"
 	"baryon/internal/hybrid"
 	"baryon/internal/sim"
-	"baryon/internal/trace"
 )
 
 // Design names used throughout the harnesses.
@@ -336,12 +335,4 @@ func Factory(design string) cpu.ControllerFactory {
 		panic("experiment: unknown design " + design)
 	}
 	return FactorySpec(spec)
-}
-
-// RunOne executes one (workload, design) pair and returns its metrics.
-func RunOne(cfg config.Config, w trace.Workload, design string) cpu.Result {
-	r := cpu.NewRunner(cfg, w, Factory(design))
-	res := r.Run()
-	res.Design = design
-	return res
 }

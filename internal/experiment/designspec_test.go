@@ -135,14 +135,14 @@ func TestCustomSpecRunsEndToEnd(t *testing.T) {
 		if err := Register(spec); err != nil {
 			t.Fatal(err)
 		}
-		res := RunOne(cfg, w, spec.Name)
+		res := runOne(cfg, w, spec.Name)
 		if res.Cycles == 0 || res.Instructions == 0 {
 			t.Fatalf("%s: empty result %+v", spec.Name, res)
 		}
 	}
 	// The commit-all override must actually reach the controller: with
 	// CommitAll set, Baryon never evicts a stage frame to slow memory.
-	res := RunOne(cfg, w, "Custom-CommitAll")
+	res := runOne(cfg, w, "Custom-CommitAll")
 	if res.Stats.Get("baryon.evictsToSlow") != 0 {
 		t.Fatalf("CommitAll design evicted %d frames to slow memory",
 			res.Stats.Get("baryon.evictsToSlow"))
@@ -155,9 +155,9 @@ func TestSpecOverridesDoNotLeak(t *testing.T) {
 	cfg := parallelConfig()
 	before := cfg
 	w, _ := trace.ByName("505.mcf_r")
-	_ = RunOne(cfg, w, DesignBaryon64B)
+	_ = runOne(cfg, w, DesignBaryon64B)
 	if !reflect.DeepEqual(cfg, before) {
-		t.Fatalf("RunOne mutated the caller's config:\n got %+v\nwant %+v", cfg, before)
+		t.Fatalf("RunPair mutated the caller's config:\n got %+v\nwant %+v", cfg, before)
 	}
 }
 

@@ -24,7 +24,7 @@ type EnergyResult struct {
 // Energy reproduces the Section IV-B energy numbers: the paper reports mean
 // memory-energy reductions of 31.9% vs Unison, 13.0% vs DICE (cache mode)
 // and 14.5% vs Hybrid2 (flat mode), mostly from lower slow-memory traffic.
-func Energy(cfg config.Config) (EnergyResult, *Table) {
+func Energy(r Runner, cfg config.Config) (EnergyResult, *Table) {
 	res := EnergyResult{}
 	t := &Table{
 		Title:  "Section IV-B: memory-system energy (relative to Baryon = 1.0)",
@@ -51,7 +51,7 @@ func Energy(cfg config.Config) (EnergyResult, *Table) {
 			pairs = append(pairs, Pair{Cfg: fcfg, Workload: w, Design: d})
 		}
 	}
-	results := RunPairs(pairs)
+	results := r.mustRun(pairs)
 	for wi, w := range workloads {
 		cRow := EnergyRow{Workload: w.Name, EnergyPJ: map[string]float64{}}
 		for di, d := range cacheDesigns {

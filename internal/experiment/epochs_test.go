@@ -41,7 +41,7 @@ func threeTierConfig() config.Config {
 
 func TestEpochSeriesTwoTierOmitsTierColumns(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
-	res := RunOne(epochTestConfig(), w, DesignBaryon)
+	res := runOne(epochTestConfig(), w, DesignBaryon)
 	if len(res.Epochs) == 0 {
 		t.Fatal("no epochs collected")
 	}
@@ -83,7 +83,7 @@ func TestEpochSeriesTwoTierOmitsTierColumns(t *testing.T) {
 
 func TestEpochSeriesThreeTierCXLColumns(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
-	res := RunOne(threeTierConfig(), w, DesignBaryon)
+	res := runOne(threeTierConfig(), w, DesignBaryon)
 	if len(res.Epochs) == 0 {
 		t.Fatal("no epochs collected")
 	}

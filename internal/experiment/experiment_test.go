@@ -1,10 +1,12 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"baryon/internal/config"
+	"baryon/internal/cpu"
 	"baryon/internal/trace"
 )
 
@@ -15,12 +17,21 @@ func quickConfig() config.Config {
 	return cfg
 }
 
+// runOne runs one pair that must succeed and panics otherwise.
+func runOne(cfg config.Config, w trace.Workload, design string) cpu.Result {
+	res, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: design})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func TestFactoryAllDesigns(t *testing.T) {
 	cfg := quickConfig()
 	w, _ := trace.ByName("505.mcf_r")
 	for _, d := range []string{DesignSimple, DesignUnison, DesignDICE,
 		DesignBaryon, DesignBaryon64B, DesignBaryonFA, DesignHybrid2} {
-		res := RunOne(cfg, w, d)
+		res := runOne(cfg, w, d)
 		if res.Cycles == 0 {
 			t.Fatalf("%s: no cycles", d)
 		}
@@ -52,7 +63,7 @@ func TestTableIRenders(t *testing.T) {
 }
 
 func TestFig3aBreakdownSane(t *testing.T) {
-	rows, tab := Fig3a(quickConfig())
+	rows, tab := Fig3a(Runner{}, quickConfig())
 	if len(rows) != len(trace.SPEC()) {
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -80,7 +91,7 @@ func TestFig3aBreakdownSane(t *testing.T) {
 func TestFig3CommittedMoreStable(t *testing.T) {
 	cfg := quickConfig()
 	cfg.AccessesPerCore = 6000
-	rows, _ := Fig3a(cfg)
+	rows, _ := Fig3a(Runner{}, cfg)
 	better := 0
 	for _, r := range rows {
 		if r.Breakdown.CReadMisses+r.Breakdown.CWriteOverflows <
@@ -96,7 +107,7 @@ func TestFig3CommittedMoreStable(t *testing.T) {
 func TestFig4PhaseStabilises(t *testing.T) {
 	cfg := quickConfig()
 	cfg.AccessesPerCore = 6000
-	res, _ := Fig4(cfg)
+	res, _ := Fig4(Runner{}, cfg)
 	if res.Phases == 0 {
 		t.Fatal("no phases sampled")
 	}
@@ -115,7 +126,7 @@ func TestFig9ShapeHolds(t *testing.T) {
 	}
 	cfg := quickConfig()
 	cfg.AccessesPerCore = 10000
-	m, _ := Fig9(cfg)
+	m, _ := Fig9(Runner{}, cfg)
 	// Every design must beat Simple on average, and Baryon must lead. The
 	// margin is loose because this test runs at a third of the default
 	// access budget, before the steady state fully forms.
@@ -132,7 +143,7 @@ func TestFig9ShapeHolds(t *testing.T) {
 
 func TestFig12DefaultIsReference(t *testing.T) {
 	cfg := quickConfig()
-	rows, _ := Fig12(cfg)
+	rows, _ := Fig12(Runner{}, cfg)
 	for _, r := range rows {
 		if r.Variant == "default" && r.Speedup != 1.0 {
 			t.Fatalf("default variant speedup %.3f != 1", r.Speedup)
@@ -148,10 +159,10 @@ func TestFig13SweepsRun(t *testing.T) {
 		t.Skip("sweeps in short mode")
 	}
 	cfg := quickConfig()
-	for name, fn := range map[string]func(config.Config) ([]Fig13Row, *Table){
+	for name, fn := range map[string]func(Runner, config.Config) ([]Fig13Row, *Table){
 		"a": Fig13a, "b": Fig13b, "c": Fig13c, "d": Fig13d,
 	} {
-		rows, tab := fn(cfg)
+		rows, tab := fn(Runner{}, cfg)
 		if len(rows) == 0 || len(tab.Rows) == 0 {
 			t.Fatalf("fig13%s empty", name)
 		}

@@ -19,9 +19,9 @@ import (
 // AssocSweep sweeps the fast-memory associativity (the paper fixes 4 and
 // discusses higher associativities in Section III-F; fully-associative is
 // the Baryon-FA variant of Fig. 10).
-func AssocSweep(cfg config.Config) ([]Fig13Row, *Table) {
+func AssocSweep(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"2", "4", "8", "FA"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Extra: fast-memory associativity (Section III-F discussion)",
 		[]string{"higher associativity reduces conflicts at higher metadata cost"},
 		points,
@@ -38,9 +38,9 @@ func AssocSweep(cfg config.Config) ([]Fig13Row, *Table) {
 // SubBlockSweep sweeps the sub-block size: the paper evaluates 256 B
 // (default) and 64 B (Baryon-64B); 128 B completes the trade-off curve.
 // Geometry keeps eight sub-blocks per block, so the block size scales too.
-func SubBlockSweep(cfg config.Config) ([]Fig13Row, *Table) {
+func SubBlockSweep(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"64B", "128B", "256B"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Extra: sub-block size trade-off (Section III-B)",
 		[]string{"smaller sub-blocks reduce overfetch, larger amortise metadata;",
 			"the paper picks 256 B; xz-like low-locality workloads prefer 64 B"},
@@ -69,7 +69,7 @@ type CPackRow struct {
 // CompressorComparison evaluates the orthogonal-compressor claim: adding
 // C-Pack to the best-of selection should shift CFs slightly without
 // changing the design's behaviour.
-func CompressorComparison(cfg config.Config) ([]CPackRow, *Table) {
+func CompressorComparison(r Runner, cfg config.Config) ([]CPackRow, *Table) {
 	var rows []CPackRow
 	t := &Table{
 		Title:  "Extra: compressor choice (FPC+BDI vs FPC+BDI+C-Pack)",
@@ -85,7 +85,7 @@ func CompressorComparison(cfg config.Config) ([]CPackRow, *Table) {
 			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
 			Pair{Cfg: c2, Workload: w, Design: DesignBaryon})
 	}
-	results := RunPairs(pairs)
+	results := r.mustRun(pairs)
 	for wi, w := range workloads {
 		base, with := results[2*wi], results[2*wi+1]
 		row := CPackRow{
@@ -110,7 +110,7 @@ type RemapCacheRow struct {
 // RemapCacheSweep validates the Section III-B sizing claim: the 32 kB remap
 // cache (256 sets x 8 ways) achieves typical hit rates over 90%; smaller
 // caches degrade.
-func RemapCacheSweep(cfg config.Config) ([]RemapCacheRow, *Table) {
+func RemapCacheSweep(r Runner, cfg config.Config) ([]RemapCacheRow, *Table) {
 	var rows []RemapCacheRow
 	t := &Table{
 		Title:  "Extra: remap cache sizing (Section III-B: >90% hit rates at 32 kB)",
@@ -126,7 +126,7 @@ func RemapCacheSweep(cfg config.Config) ([]RemapCacheRow, *Table) {
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
 		}
 	}
-	results := RunPairs(pairs)
+	results := r.mustRun(pairs)
 	for wi, w := range workloads {
 		cells := []string{w.Name}
 		for si, sets := range setPoints {
@@ -144,9 +144,9 @@ func RemapCacheSweep(cfg config.Config) ([]RemapCacheRow, *Table) {
 // presets. The speed gap between the tiers is the resource Baryon manages,
 // so a slower bottom tier should widen its absolute cycle counts while the
 // mechanisms stay effective.
-func SlowMemSweep(cfg config.Config) ([]Fig13Row, *Table) {
+func SlowMemSweep(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"nvm", "optane", "pcm"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Extra: slow-memory technology sensitivity",
 		[]string{"values are speedups relative to the Table I NVM (slower devices < 1)"},
 		points,
@@ -157,9 +157,9 @@ func SlowMemSweep(cfg config.Config) ([]Fig13Row, *Table) {
 // PrefetchAblation toggles the memory-to-LLC prefetching of Section III-E
 // (installing decompression by-products in the LLC), which the paper
 // credits with up to 5% LLC hit-rate improvement.
-func PrefetchAblation(cfg config.Config) ([]Fig13Row, *Table) {
+func PrefetchAblation(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"prefetch-on", "prefetch-off"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Extra: memory-to-LLC prefetch ablation (Section III-E)",
 		[]string{"paper: bandwidth-free prefetch raises LLC hit rate by up to 5%"},
 		points,
@@ -170,9 +170,9 @@ func PrefetchAblation(cfg config.Config) ([]Fig13Row, *Table) {
 // DDRFidelitySweep compares the busy-until fast-memory model against the
 // protocol-level DDR4 engine (tRCD/tRP/tFAW/refresh): the shape of the
 // results should be model-independent, which this sweep lets users verify.
-func DDRFidelitySweep(cfg config.Config) ([]Fig13Row, *Table) {
+func DDRFidelitySweep(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"busy-until", "protocol"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Extra: fast-memory timing-model fidelity",
 		[]string{"speedups relative to the busy-until model; shape should hold across models"},
 		points,
@@ -190,7 +190,7 @@ type OSvsHWRow struct {
 // management: OS page migration adapts slowly (epochs), at coarse
 // granularity (4 kB), and with software overheads, so the hardware designs
 // should beat it broadly.
-func OSvsHW(cfg config.Config) ([]OSvsHWRow, *Table) {
+func OSvsHW(r Runner, cfg config.Config) ([]OSvsHWRow, *Table) {
 	designs := []string{DesignOSPaging, DesignUnison, DesignBaryon}
 	var rows []OSvsHWRow
 	t := &Table{
@@ -199,7 +199,7 @@ func OSvsHW(cfg config.Config) ([]OSvsHWRow, *Table) {
 		Notes:  []string{"speedups over the OS-paging baseline"},
 	}
 	workloads := trace.Representative()
-	grid := RunMatrix(cfg, workloads, designs)
+	grid := r.runGrid(cfg, workloads, designs)
 	for wi, w := range workloads {
 		row := OSvsHWRow{Workload: w.Name, Speedup: map[string]float64{}}
 		var base float64

@@ -21,7 +21,7 @@ var Fig11Designs = []string{DesignUnison, DesignDICE, DesignBaryon}
 // memory (left; higher is better) and the bandwidth bloat factor — fast
 // memory traffic over useful LLC fill traffic (right; lower is better) —
 // for representative workloads plus the geometric mean of the whole suite.
-func Fig11(cfg config.Config) ([]Fig11Row, *Table) {
+func Fig11(r Runner, cfg config.Config) ([]Fig11Row, *Table) {
 	var rows []Fig11Row
 	t := &Table{
 		Title:  "Fig 11: fast-memory serve rate (left) / bandwidth bloat factor (right)",
@@ -41,7 +41,7 @@ func Fig11(cfg config.Config) ([]Fig11Row, *Table) {
 	}
 	var reprRows []Fig11Row
 	workloads := trace.All()
-	grid := RunMatrix(cfg, workloads, Fig11Designs)
+	grid := r.runGrid(cfg, workloads, Fig11Designs)
 	for wi, w := range workloads {
 		row := Fig11Row{Workload: w.Name, ServeRate: map[string]float64{}, Bloat: map[string]float64{}}
 		for di, d := range Fig11Designs {

@@ -38,7 +38,7 @@ type Fig12Row struct {
 
 // Fig12 reproduces Fig. 12: the impact of the compression-scheme choices on
 // performance and compression factors.
-func Fig12(cfg config.Config) ([]Fig12Row, *Table) {
+func Fig12(r Runner, cfg config.Config) ([]Fig12Row, *Table) {
 	var rows []Fig12Row
 	t := &Table{
 		Title:  "Fig 12: compression-scheme ablations (speedup vs default Baryon, mean range CF)",
@@ -59,7 +59,7 @@ func Fig12(cfg config.Config) ([]Fig12Row, *Table) {
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
 		}
 	}
-	results := RunPairs(pairs)
+	results := r.mustRun(pairs)
 	for wi, w := range workloads {
 		var baseCycles float64
 		for vi, v := range variants {

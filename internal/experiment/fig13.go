@@ -18,7 +18,7 @@ type Fig13Row struct {
 // sweep runs the representative workloads over configuration points — the
 // full (workload, point) grid fans out across the worker pool — and
 // normalises each workload to its named baseline point.
-func sweep(cfg config.Config, points []string, mut func(*config.Config, string), baseline string) ([]Fig13Row, map[string][]string) {
+func sweep(r Runner, cfg config.Config, points []string, mut func(*config.Config, string), baseline string) ([]Fig13Row, map[string][]string) {
 	var rows []Fig13Row
 	cells := map[string][]string{}
 	workloads := trace.Representative()
@@ -30,7 +30,7 @@ func sweep(cfg config.Config, points []string, mut func(*config.Config, string),
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
 		}
 	}
-	results := RunPairs(pairs)
+	results := r.mustRun(pairs)
 	for wi, w := range workloads {
 		base := 0.0
 		perPoint := map[string]float64{}
@@ -52,8 +52,8 @@ func sweep(cfg config.Config, points []string, mut func(*config.Config, string),
 	return rows, cells
 }
 
-func sweepTable(cfg config.Config, title string, notes []string, points []string, mut func(*config.Config, string), baseline string) ([]Fig13Row, *Table) {
-	rows, cells := sweep(cfg, points, mut, baseline)
+func sweepTable(r Runner, cfg config.Config, title string, notes []string, points []string, mut func(*config.Config, string), baseline string) ([]Fig13Row, *Table) {
+	rows, cells := sweep(r, cfg, points, mut, baseline)
 	t := &Table{Title: title, Header: append([]string{"workload"}, points...), Notes: notes}
 	for _, w := range trace.Representative() {
 		t.AddRow(cells[w.Name]...)
@@ -63,9 +63,9 @@ func sweepTable(cfg config.Config, title string, notes []string, points []string
 
 // Fig13a reproduces Fig. 13(a): disabling block-level replacements (so a
 // super-block is confined to one stage frame) versus the two-level policy.
-func Fig13a(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13a(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"two-level", "sub-block-only"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Fig 13(a): two-level stage replacement vs sub-block-only",
 		[]string{"paper: sub-block-only loses about 25%"},
 		points,
@@ -74,9 +74,9 @@ func Fig13a(cfg config.Config) ([]Fig13Row, *Table) {
 }
 
 // Fig13b reproduces Fig. 13(b): the super-block size sweep (in blocks).
-func Fig13b(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13b(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"1", "2", "8", "32"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Fig 13(b): super-block size in blocks (default 8)",
 		[]string{"paper: 8 blocks suffices; very large super-blocks add conflict misses"},
 		points,
@@ -86,10 +86,10 @@ func Fig13b(cfg config.Config) ([]Fig13Row, *Table) {
 
 // Fig13c reproduces Fig. 13(c): the stage-area size sweep plus the
 // no-stage-area configuration.
-func Fig13c(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13c(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	base := cfg.StageBytes
 	points := []string{"1/8", "1/4", "1/2", "1x", "2x", "none"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Fig 13(c): stage-area size (fractions of default) and no-stage ablation",
 		[]string{
 			"paper: 8 MB is enough for some workloads; 64 MB gives up to 24% more;",
@@ -118,9 +118,9 @@ func Fig13c(cfg config.Config) ([]Fig13Row, *Table) {
 // Fig13d reproduces Fig. 13(d): the selective-commit parameter k, the two
 // degenerate policies (k=0 write-cost-only, k=inf stability-only) and the
 // commit-all policy.
-func Fig13d(cfg config.Config) ([]Fig13Row, *Table) {
+func Fig13d(r Runner, cfg config.Config) ([]Fig13Row, *Table) {
 	points := []string{"k=0", "k=1", "k=2", "k=4", "k=inf", "commit-all"}
-	return sweepTable(cfg,
+	return sweepTable(r, cfg,
 		"Fig 13(d): selective commit policy parameter",
 		[]string{
 			"paper: k in {1,2,4} performs similarly and beats k=0, k=inf and commit-all",

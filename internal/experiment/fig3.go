@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/core"
 	"baryon/internal/cpu"
@@ -14,18 +16,26 @@ type Fig3aRow struct {
 	Breakdown core.StageBreakdown
 }
 
-// runBaryonForBreakdown runs Baryon in cache mode and extracts the
-// controller's stage/commit breakdown.
-func runBaryonForBreakdown(cfg config.Config, w trace.Workload) core.StageBreakdown {
-	r := cpu.NewRunner(cfg, w, Factory(DesignBaryon))
-	r.Run()
-	return r.Controller().(*core.Controller).Breakdown()
+// baryonBreakdowns runs Baryon in cache mode on every pair and returns each
+// controller's stage/commit breakdown in input order. Like every harness it
+// is strict: a failed or cancelled pair panics.
+func baryonBreakdowns(r Runner, pairs []Pair) []core.StageBreakdown {
+	out := make([]core.StageBreakdown, len(pairs))
+	r.mustEach(pairs, func(ctx context.Context, i int) error {
+		var ctrl *core.Controller
+		_, err := runPair(ctx, pairs[i], func(run *cpu.Runner) { ctrl = run.Controller().(*core.Controller) })
+		if err == nil {
+			out[i] = ctrl.Breakdown()
+		}
+		return err
+	})
+	return out
 }
 
 // Fig3a reproduces Fig. 3(a): the hit / read-miss / write-overflow split of
 // accesses to just-staged (S) versus committed (C) blocks at the default
 // stage size, over the SPEC-like workloads.
-func Fig3a(cfg config.Config) ([]Fig3aRow, *Table) {
+func Fig3a(r Runner, cfg config.Config) ([]Fig3aRow, *Table) {
 	t := &Table{
 		Title:  "Fig 3(a): access breakdown, staged (S) vs committed (C) blocks",
 		Header: []string{"workload", "S.hit", "S.rdMiss", "S.wrOvfl", "C.hit", "C.rdMiss", "C.wrOvfl"},
@@ -34,13 +44,14 @@ func Fig3a(cfg config.Config) ([]Fig3aRow, *Table) {
 		},
 	}
 	workloads := trace.SPEC()
+	pairs := make([]Pair, len(workloads))
+	for i, w := range workloads {
+		pairs[i] = Pair{Cfg: cfg, Workload: w, Design: DesignBaryon}
+	}
 	rows := make([]Fig3aRow, len(workloads))
-	forEach(len(workloads), func(i int) {
-		rows[i] = Fig3aRow{Workload: workloads[i].Name, Breakdown: runBaryonForBreakdown(cfg, workloads[i])}
-	})
-	for _, row := range rows {
-		bd := row.Breakdown
-		t.AddRow(row.Workload, pct(bd.SHits), pct(bd.SReadMisses), pct(bd.SWriteOverflows),
+	for i, bd := range baryonBreakdowns(r, pairs) {
+		rows[i] = Fig3aRow{Workload: workloads[i].Name, Breakdown: bd}
+		t.AddRow(workloads[i].Name, pct(bd.SHits), pct(bd.SReadMisses), pct(bd.SWriteOverflows),
 			pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
 	}
 	return rows, t
@@ -62,7 +73,7 @@ func Fig3bSizes(cfg config.Config) []uint64 {
 
 // Fig3b reproduces Fig. 3(b): the committed-block breakdown across stage
 // area sizes.
-func Fig3b(cfg config.Config) ([]Fig3bRow, *Table) {
+func Fig3b(r Runner, cfg config.Config) ([]Fig3bRow, *Table) {
 	t := &Table{
 		Title:  "Fig 3(b): committed-block breakdown vs stage area size",
 		Header: []string{"workload", "stage", "C.hit", "C.rdMiss", "C.wrOvfl"},
@@ -73,16 +84,18 @@ func Fig3b(cfg config.Config) ([]Fig3bRow, *Table) {
 	}
 	workloads := trace.SPEC()[:4]
 	sizes := Fig3bSizes(cfg)
-	rows := make([]Fig3bRow, len(workloads)*len(sizes))
-	forEach(len(rows), func(i int) {
-		w, sz := workloads[i/len(sizes)], sizes[i%len(sizes)]
-		c := cfg
-		c.StageBytes = sz
-		rows[i] = Fig3bRow{Workload: w.Name, StageBytes: sz, Breakdown: runBaryonForBreakdown(c, w)}
-	})
-	for _, row := range rows {
-		bd := row.Breakdown
-		t.AddRow(row.Workload, byteSize(row.StageBytes), pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
+	pairs := make([]Pair, 0, len(workloads)*len(sizes))
+	for _, w := range workloads {
+		for _, sz := range sizes {
+			c := cfg
+			c.StageBytes = sz
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
+		}
+	}
+	rows := make([]Fig3bRow, len(pairs))
+	for i, bd := range baryonBreakdowns(r, pairs) {
+		rows[i] = Fig3bRow{Workload: pairs[i].Workload.Name, StageBytes: pairs[i].Cfg.StageBytes, Breakdown: bd}
+		t.AddRow(rows[i].Workload, byteSize(rows[i].StageBytes), pct(bd.CHits), pct(bd.CReadMisses), pct(bd.CWriteOverflows))
 	}
 	return rows, t
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"context"
+
 	"baryon/internal/config"
 	"baryon/internal/core"
 	"baryon/internal/cpu"
@@ -20,18 +22,22 @@ type Fig4Result struct {
 // normalised to each block's stage-phase length. The paper's observation —
 // an order-of-magnitude MPKI drop by the mid-phase that stays low — is the
 // justification for the stage area and the selective commit policy.
-func Fig4(cfg config.Config) (Fig4Result, *Table) {
+func Fig4(r Runner, cfg config.Config) (Fig4Result, *Table) {
 	// Each workload samples into a private sampler so the runs can execute
 	// concurrently; the samplers are merged in workload order afterwards
 	// (percentiles sort, so the merged boxes are order-independent anyway).
 	workloads := trace.SPEC()[:4]
+	pairs := make([]Pair, len(workloads))
 	samplers := make([]*core.StagePhaseSampler, len(workloads))
-	forEach(len(workloads), func(i int) {
+	for i, w := range workloads {
+		pairs[i] = Pair{Cfg: cfg, Workload: w, Design: DesignBaryon}
 		samplers[i] = core.NewStagePhaseSampler()
-		r := cpu.NewRunner(cfg, workloads[i], Factory(DesignBaryon))
-		ctrl := r.Controller().(*core.Controller)
-		ctrl.SetInstrumentation(core.Instrumentation{StagePhase: samplers[i]})
-		r.Run()
+	}
+	r.mustEach(pairs, func(ctx context.Context, i int) error {
+		_, err := runPair(ctx, pairs[i], func(run *cpu.Runner) {
+			run.Controller().(*core.Controller).SetInstrumentation(core.Instrumentation{StagePhase: samplers[i]})
+		})
+		return err
 	})
 	sampler := samplers[0]
 	for _, o := range samplers[1:] {

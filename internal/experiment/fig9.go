@@ -27,10 +27,10 @@ type PerfMatrix struct {
 
 // runMatrix executes every (workload, design) pair — fanned out across the
 // worker pool — and normalises each row to its baseline design.
-func runMatrix(cfg config.Config, workloads []trace.Workload, designs []string, baseline string) PerfMatrix {
+func runMatrix(r Runner, cfg config.Config, workloads []trace.Workload, designs []string, baseline string) PerfMatrix {
 	m := PerfMatrix{Designs: designs, Baseline: baseline, GeoMean: map[string]float64{}}
 	per := map[string][]float64{}
-	grid := RunMatrix(cfg, workloads, designs)
+	grid := r.runGrid(cfg, workloads, designs)
 	for wi, w := range workloads {
 		row := PerfRow{Workload: w.Name, Speedup: map[string]float64{}, Results: map[string]cpu.Result{}}
 		var base float64
@@ -60,9 +60,9 @@ var Fig9Designs = []string{DesignSimple, DesignUnison, DesignDICE, DesignBaryon6
 // Fig9 reproduces Fig. 9: cache-mode performance of Unison Cache, DICE,
 // Baryon-64B and Baryon across the whole suite, normalised to the Simple
 // DRAM cache.
-func Fig9(cfg config.Config) (PerfMatrix, *Table) {
+func Fig9(r Runner, cfg config.Config) (PerfMatrix, *Table) {
 	cfg.Mode = config.ModeCache
-	m := runMatrix(cfg, trace.All(), Fig9Designs, DesignSimple)
+	m := runMatrix(r, cfg, trace.All(), Fig9Designs, DesignSimple)
 	t := &Table{
 		Title:  "Fig 9: cache-mode speedup over Simple",
 		Header: append([]string{"workload"}, Fig9Designs...),
@@ -91,9 +91,9 @@ var Fig10Designs = []string{DesignHybrid2, DesignBaryonFA}
 
 // Fig10 reproduces Fig. 10: fully-associative flat-mode performance of
 // Baryon-FA normalised to Hybrid2.
-func Fig10(cfg config.Config) (PerfMatrix, *Table) {
+func Fig10(r Runner, cfg config.Config) (PerfMatrix, *Table) {
 	cfg.Mode = config.ModeFlat
-	m := runMatrix(cfg, trace.All(), Fig10Designs, DesignHybrid2)
+	m := runMatrix(r, cfg, trace.All(), Fig10Designs, DesignHybrid2)
 	t := &Table{
 		Title:  "Fig 10: flat-mode speedup of Baryon-FA over Hybrid2",
 		Header: []string{"workload", "Baryon-FA/Hybrid2", "srFA", "srH2"},

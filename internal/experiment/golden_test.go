@@ -32,10 +32,10 @@ func goldenTables() []byte {
 	var buf bytes.Buffer
 	for _, run := range []func() *Table{
 		func() *Table { return TableI() },
-		func() *Table { _, t := Fig9(cfg); return t },
-		func() *Table { _, t := Fig11(cfg); return t },
-		func() *Table { _, t := Fig12(cfg); return t },
-		func() *Table { _, t := Energy(cfg); return t },
+		func() *Table { _, t := Fig9(Runner{}, cfg); return t },
+		func() *Table { _, t := Fig11(Runner{}, cfg); return t },
+		func() *Table { _, t := Fig12(Runner{}, cfg); return t },
+		func() *Table { _, t := Energy(Runner{}, cfg); return t },
 	} {
 		run().Render(&buf)
 	}

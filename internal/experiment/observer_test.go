@@ -1,90 +1,56 @@
 package experiment
 
 import (
-	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"baryon/internal/trace"
 )
 
-// observerPairs is a small grid the observer tests run repeatedly.
-func observerPairs(cfg, n int) []Pair {
-	c := parallelConfig()
-	c.AccessesPerCore = cfg
+// TestRunnerObserve pins the Observe hook's contract under a parallel pool:
+// every successful pair is observed exactly once, with its own result, and
+// a pair that fails (here, a panicking controller) is never observed.
+func TestRunnerObserve(t *testing.T) {
+	registerPoisonedDesign(t, "Poisoned-Observe")
+	cfg := parallelConfig()
+	cfg.AccessesPerCore = 400
 	w, _ := trace.ByName("505.mcf_r")
-	pairs := make([]Pair, n)
-	for i := range pairs {
-		c.Seed = uint64(i + 1)
-		pairs[i] = Pair{Cfg: c, Workload: w, Design: DesignBaryon}
+	var pairs []Pair
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg.Seed = seed
+		pairs = append(pairs,
+			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
+			Pair{Cfg: cfg, Workload: w, Design: "Poisoned-Observe"})
 	}
-	return pairs
-}
-
-// TestPairObserverMultipleOwners is the regression test for the old
-// process-global SetPairObserver: two owners observe the same runs without
-// clobbering each other, and removing one leaves the other installed.
-func TestPairObserverMultipleOwners(t *testing.T) {
-	var a, b atomic.Uint64
-	ha := AddPairObserver(func(Pair, PairResult) { a.Add(1) })
-	hb := AddPairObserver(func(Pair, PairResult) { b.Add(1) })
-	defer ha.Remove()
-	defer hb.Remove()
-
-	pairs := observerPairs(400, 3)
-	for _, pr := range RunPairsCtx(context.Background(), pairs) {
-		if pr.Err != nil {
-			t.Fatal(pr.Err)
+	type key struct {
+		seed   uint64
+		design string
+	}
+	var mu sync.Mutex
+	seen := map[key]uint64{} // observation count per pair
+	cycles := map[key]uint64{}
+	r := Runner{Workers: 4, Observe: func(p Pair, pr PairResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		k := key{p.Cfg.Seed, p.Design}
+		seen[k]++
+		cycles[k] = pr.Result.Cycles
+	}}
+	out := r.Run(pairs)
+	for i, p := range pairs {
+		k := key{p.Cfg.Seed, p.Design}
+		if out[i].Err != nil {
+			if seen[k] != 0 {
+				t.Errorf("failed pair %v observed %d times", k, seen[k])
+			}
+			continue
+		}
+		if seen[k] != 1 || cycles[k] != out[i].Result.Cycles {
+			t.Errorf("pair %v observed %d times with cycles %d, want once with %d",
+				k, seen[k], cycles[k], out[i].Result.Cycles)
 		}
 	}
-	if a.Load() != 3 || b.Load() != 3 {
-		t.Fatalf("observer counts a=%d b=%d, want 3 each", a.Load(), b.Load())
+	if len(seen) != 3 {
+		t.Fatalf("observed %d distinct pairs, want the 3 healthy ones: %v", len(seen), seen)
 	}
-
-	ha.Remove()
-	for _, pr := range RunPairsCtx(context.Background(), pairs) {
-		if pr.Err != nil {
-			t.Fatal(pr.Err)
-		}
-	}
-	if a.Load() != 3 {
-		t.Fatalf("removed observer still fired: a=%d", a.Load())
-	}
-	if b.Load() != 6 {
-		t.Fatalf("surviving observer missed runs: b=%d, want 6", b.Load())
-	}
-	// Remove is idempotent and a nil add is a safe no-op handle.
-	ha.Remove()
-	AddPairObserver(nil).Remove()
-}
-
-// TestPairObserverConcurrentOwners churns observer registration from many
-// goroutines while runs execute — the -race regression for the registry's
-// copy-on-write snapshot.
-func TestPairObserverConcurrentOwners(t *testing.T) {
-	pairs := observerPairs(200, 2)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var n atomic.Uint64
-			for i := 0; i < 5; i++ {
-				h := AddPairObserver(func(Pair, PairResult) { n.Add(1) })
-				for _, pr := range RunPairsCtx(context.Background(), pairs) {
-					if pr.Err != nil {
-						t.Errorf("run: %v", pr.Err)
-					}
-				}
-				h.Remove()
-			}
-			// Each owner sees at least its own runs; concurrent owners' runs
-			// may add more.
-			if n.Load() < uint64(5*len(pairs)) {
-				t.Errorf("observer saw %d pairs, want >= %d", n.Load(), 5*len(pairs))
-			}
-		}()
-	}
-	wg.Wait()
 }

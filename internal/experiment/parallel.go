@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -22,219 +21,145 @@ import (
 // deterministic — every result is slotted by its input index, so tables and
 // figures are byte-identical to a serial run regardless of completion order.
 
-// parallelism holds the configured worker count; 0 means "one worker per
-// available CPU" (runtime.GOMAXPROCS).
-var parallelism atomic.Int32
-
-// SetParallelism sets the worker count used by RunPairs/RunMatrix and every
-// harness built on them. n <= 0 restores the default (one worker per CPU);
-// n == 1 forces fully serial execution.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	parallelism.Store(int32(n))
+// Runner is the explicit execution context of a batch: the context that
+// cancels it, the worker count and the export hook. Every harness takes one
+// as its first argument; the zero value runs under context.Background() on
+// runtime.GOMAXPROCS(0) workers with no observer.
+type Runner struct {
+	// Ctx cancels the batch: workers stop taking new pairs and running
+	// pairs stop within ~1024 accesses. nil means context.Background().
+	Ctx context.Context
+	// Workers is the pool size; <= 0 means runtime.GOMAXPROCS(0) and 1
+	// forces fully serial execution.
+	Workers int
+	// Observe, when non-nil, receives every successfully completed pair of
+	// Run as it finishes, before the batch returns — the seam export layers
+	// (e.g. per-run report bundles) use to see each cpu.Result while its
+	// Stats registry is still reachable. It runs on worker goroutines,
+	// possibly concurrently, and must be goroutine-safe.
+	Observe func(Pair, PairResult)
 }
 
-// Parallelism returns the effective worker count.
-func Parallelism() int {
-	if v := parallelism.Load(); v > 0 {
-		return int(v)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// forEach invokes fn(i) for every i in [0, n) using the configured worker
-// count. fn must write its outputs to slots indexed by i only; under that
-// contract the observable result is identical to the serial loop. With one
-// worker (or one job) it degenerates to the plain loop, with zero goroutine
-// overhead.
-func forEach(n int, fn func(i int)) {
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runContext holds the package-level context consulted by the legacy
-// (context-free) entry points, so existing harness code can be made
-// cancellable from one place. The context lives in a single-field struct
-// because atomic.Value requires a consistent concrete type and contexts
-// come in many.
-type ctxBox struct{ ctx context.Context }
-
-var runContext atomic.Value
-
-func init() { runContext.Store(ctxBox{context.Background()}) }
-
-// SetRunContext installs the context the legacy RunPairs/RunMatrix/harness
-// entry points run under. The default is context.Background() (never
-// cancelled, zero overhead). Commands that own a shutdown context call this
-// once at startup; new code should prefer the explicit ...Ctx variants.
-func SetRunContext(ctx context.Context) {
+// fanOut runs job(ctx, i) for every i in [0, n) on r's workers and returns
+// each index's error. Workers stop taking new indices once ctx is
+// cancelled; indices never started get ctx's error. job must write its
+// outputs to slots indexed by i only; under that contract the observable
+// result is identical to the serial loop, which is what one worker (or one
+// job) runs, with zero goroutine overhead.
+func (r Runner) fanOut(n int, job func(ctx context.Context, i int) error) []error {
+	ctx := r.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	runContext.Store(ctxBox{ctx})
-}
-
-// RunContext returns the context installed by SetRunContext.
-func RunContext() context.Context {
-	return runContext.Load().(ctxBox).ctx
-}
-
-// forEachCtx is forEach with cooperative cancellation: workers stop pulling
-// new indices once ctx is cancelled (indices already running finish via the
-// runner's own cancellation checks). A non-cancellable context delegates to
-// the plain loop.
-func forEachCtx(ctx context.Context, n int, fn func(i int)) {
-	if ctx.Done() == nil {
-		forEach(n, fn)
-		return
+	errs := make([]error, n)
+	started := make([]bool, n)
+	work := func(i int) {
+		started[i] = true
+		errs[i] = job(ctx, i)
 	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			work(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					work(i)
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// pairObservers is the registry behind AddPairObserver: every installed
-// observer keyed by handle id, plus a copy-on-write snapshot slice the hot
-// path iterates lock-free. Multiple owners — a CLI's bundle-dir export and a
-// server job running concurrently — each hold their own handle, so removing
-// one never tears down another's hook (the old process-global
-// SetPairObserver atomic.Value made concurrent owners clobber each other).
-var pairObservers struct {
-	sync.Mutex
-	seq  uint64
-	m    map[uint64]func(Pair, PairResult)
-	snap atomic.Value // []func(Pair, PairResult), rebuilt under the mutex
-}
-
-func init() {
-	var empty []func(Pair, PairResult)
-	pairObservers.snap.Store(empty)
-}
-
-// ObserverHandle identifies one installed pair observer; Remove uninstalls
-// exactly that observer and no other.
-type ObserverHandle struct {
-	id   uint64
-	once sync.Once
-}
-
-// AddPairObserver installs a hook that receives every successfully completed
-// pair as it finishes, before the batch returns — the seam export layers
-// (e.g. per-run report bundles) use to see each cpu.Result while its Stats
-// registry is still reachable, without every harness growing an export
-// parameter. The hook runs on worker goroutines, possibly concurrently, and
-// must be goroutine-safe; failed pairs are not observed. Any number of
-// observers can be installed concurrently; each is removed only through its
-// own handle.
-func AddPairObserver(fn func(Pair, PairResult)) *ObserverHandle {
-	if fn == nil {
-		return &ObserverHandle{}
-	}
-	pairObservers.Lock()
-	defer pairObservers.Unlock()
-	if pairObservers.m == nil {
-		pairObservers.m = make(map[uint64]func(Pair, PairResult))
-	}
-	pairObservers.seq++
-	h := &ObserverHandle{id: pairObservers.seq}
-	pairObservers.m[h.id] = fn
-	rebuildObserverSnap()
-	return h
-}
-
-// Remove uninstalls the observer this handle was returned for. Safe to call
-// multiple times; a handle from a nil AddPairObserver is a no-op. Pairs
-// already in flight when Remove returns may still be observed once.
-func (h *ObserverHandle) Remove() {
-	h.once.Do(func() {
-		if h.id == 0 {
-			return
+			}()
 		}
-		pairObservers.Lock()
-		defer pairObservers.Unlock()
-		delete(pairObservers.m, h.id)
-		rebuildObserverSnap()
+		wg.Wait()
+	}
+	for i := range errs {
+		if !started[i] {
+			errs[i] = ctx.Err()
+		}
+	}
+	return errs
+}
+
+// Run executes every pair on r's workers and returns per-pair outcomes in
+// input order. Each pair builds its own runner, store, controller and
+// statistics, so pairs share no mutable state; successful slots are
+// bit-identical to calling RunPair in a loop. A pair that fails — invalid
+// design, panic, cancellation — reports through its slot's Err while every
+// other pair completes; pairs not yet started when Ctx is cancelled get
+// its error without running.
+func (r Runner) Run(pairs []Pair) []PairResult {
+	out := make([]PairResult, len(pairs))
+	errs := r.fanOut(len(pairs), func(ctx context.Context, i int) error {
+		out[i].Result, out[i].Err = RunPair(ctx, pairs[i])
+		if out[i].Err == nil && r.Observe != nil {
+			r.Observe(pairs[i], out[i])
+		}
+		return out[i].Err
 	})
+	for i, err := range errs {
+		out[i].Err = err
+	}
+	return out
 }
 
-// rebuildObserverSnap republishes the snapshot slice. Caller holds the
-// mutex. Iteration order is by handle id, so observation order is stable.
-func rebuildObserverSnap() {
-	ids := make([]uint64, 0, len(pairObservers.m))
-	for id := range pairObservers.m {
-		ids = append(ids, id)
+// The harnesses are strict: the first failed pair in input order —
+// including one cut short by cancellation — panics, and the resilient
+// commands catch the panic at their per-harness isolation boundary. The
+// panic value is an error wrapping the pair's error, so callers can match
+// context.Canceled with errors.Is.
+func mustPass(p Pair, err error) {
+	if err != nil {
+		panic(fmt.Errorf("experiment: pair %s/%s failed: %w", p.Workload.Name, p.Design, err))
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	fns := make([]func(Pair, PairResult), 0, len(ids))
-	for _, id := range ids {
-		fns = append(fns, pairObservers.m[id])
-	}
-	pairObservers.snap.Store(fns)
 }
 
-// observePair invokes every installed observer for a completed job.
-func observePair(p Pair, pr PairResult) {
-	if pr.Err != nil {
-		return
+// mustRun is Run under the strict harness contract: the results in input
+// order, or a panic on the first failed pair.
+func (r Runner) mustRun(pairs []Pair) []cpu.Result {
+	res := make([]cpu.Result, len(pairs))
+	for i, pr := range r.Run(pairs) {
+		mustPass(pairs[i], pr.Err)
+		res[i] = pr.Result
 	}
-	for _, fn := range pairObservers.snap.Load().([]func(Pair, PairResult)) {
-		fn(p, pr)
+	return res
+}
+
+// mustEach is fanOut over pairs under the strict harness contract, for
+// harnesses that read controller state beyond cpu.Result (see runPair's
+// before hook). Such runs are not observed.
+func (r Runner) mustEach(pairs []Pair, job func(ctx context.Context, i int) error) {
+	for i, err := range r.fanOut(len(pairs), job) {
+		mustPass(pairs[i], err)
 	}
+}
+
+// runGrid runs the full workloads x designs grid under cfg and returns
+// results indexed as [workload][design], matching the input slices. Like
+// mustRun it is strict.
+func (r Runner) runGrid(cfg config.Config, workloads []trace.Workload, designs []string) [][]cpu.Result {
+	pairs := make([]Pair, 0, len(workloads)*len(designs))
+	for _, w := range workloads {
+		for _, d := range designs {
+			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
+		}
+	}
+	flat := r.mustRun(pairs)
+	out := make([][]cpu.Result, len(workloads))
+	for wi := range workloads {
+		out[wi] = flat[wi*len(designs) : (wi+1)*len(designs)]
+	}
+	return out
 }
 
 // RunObs optionally attaches live instrumentation to one pair's runner —
@@ -264,34 +189,35 @@ type Pair struct {
 	Obs *RunObs
 }
 
-// PairResult is the outcome of one job in a resilient run: the metrics on
-// success, or the error that stopped the job — a bad spec, a panic captured
-// by the worker's isolation boundary, or the run context's cancellation
-// error for jobs that were cut short or never started.
+// PairResult is the outcome of one job in a batch: the metrics on success,
+// or the error that stopped the job — a bad spec, a panic captured by
+// RunPair's isolation boundary, or the run context's cancellation error for
+// jobs that were cut short or never started.
 type PairResult struct {
 	Result cpu.Result
 	Err    error
 }
 
-// runPairIsolated executes one job with a panic boundary: a panicking
-// controller or workload poisons only its own slot, never the sweep.
-func runPairIsolated(ctx context.Context, p Pair) (pr PairResult) {
+// RunPair executes one fully-described pair — including its optional trace
+// source and live instrumentation — with error reporting, cooperative
+// cancellation and a panic boundary. An unknown design or an invalid spec
+// returns an error; a panicking controller or workload returns an error
+// naming the pair, with the stack; a cancelled ctx stops the replay and
+// returns the partial metrics with ctx's error.
+func RunPair(ctx context.Context, p Pair) (cpu.Result, error) {
+	return runPair(ctx, p, nil)
+}
+
+// runPair is RunPair with a hook: before, when non-nil, sees the built
+// runner ahead of the replay, so a harness can instrument its controller or
+// keep it to read state the Result does not carry.
+func runPair(ctx context.Context, p Pair, before func(*cpu.Runner)) (res cpu.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			pr.Err = fmt.Errorf("experiment: %s/%s panicked: %v\n%s",
+			err = fmt.Errorf("experiment: %s/%s panicked: %v\n%s",
 				p.Workload.Name, p.Design, rec, debug.Stack())
 		}
 	}()
-	pr.Result, pr.Err = RunPairCtx(ctx, p)
-	return pr
-}
-
-// RunPairCtx executes one fully-described pair — including its optional
-// trace source and live instrumentation — with error reporting and
-// cooperative cancellation. An unknown design or an invalid spec returns an
-// error instead of panicking; a cancelled ctx stops the replay and returns
-// the partial metrics with ctx's error.
-func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 	spec, ok := Lookup(p.Design)
 	if !ok {
 		return cpu.Result{}, UnknownDesignError(p.Design)
@@ -316,67 +242,10 @@ func RunPairCtx(ctx context.Context, p Pair) (cpu.Result, error) {
 			r.SetIntrospector(o.Introspector, o.StatusEvery)
 		}
 	}
-	res, err := r.RunCtx(ctx)
+	if before != nil {
+		before(r)
+	}
+	res, err = r.RunCtx(ctx)
 	res.Design = p.Design
 	return res, err
-}
-
-// RunPairsCtx executes every job concurrently and returns per-job outcomes
-// in input order. Each job builds its own runner, store, controller and
-// statistics, so jobs share no mutable state; successful slots are
-// bit-identical to calling RunOne in a loop. A job that fails — invalid
-// design, panic, cancellation — reports through its slot's Err while every
-// other job completes; jobs not yet started when ctx is cancelled get
-// ctx's error without running.
-func RunPairsCtx(ctx context.Context, pairs []Pair) []PairResult {
-	out := make([]PairResult, len(pairs))
-	ran := make([]bool, len(pairs))
-	forEachCtx(ctx, len(pairs), func(i int) {
-		ran[i] = true
-		out[i] = runPairIsolated(ctx, pairs[i])
-		observePair(pairs[i], out[i])
-	})
-	for i := range out {
-		if !ran[i] {
-			out[i].Err = ctx.Err()
-		}
-	}
-	return out
-}
-
-// RunPairs executes every job concurrently and returns the results in input
-// order, bit-identical to calling RunOne in a loop. It is the legacy strict
-// entry point: any per-job error — including cancellation of the
-// SetRunContext context — escalates to a panic, which the resilient
-// commands catch at their per-harness isolation boundary. Callers that want
-// per-job errors use RunPairsCtx.
-func RunPairs(pairs []Pair) []cpu.Result {
-	prs := RunPairsCtx(RunContext(), pairs)
-	out := make([]cpu.Result, len(prs))
-	for i, pr := range prs {
-		if pr.Err != nil {
-			panic(fmt.Sprintf("experiment: pair %s/%s failed: %v",
-				pairs[i].Workload.Name, pairs[i].Design, pr.Err))
-		}
-		out[i] = pr.Result
-	}
-	return out
-}
-
-// RunMatrix runs the full workloads x designs grid under cfg and returns
-// results indexed as [workload][design], matching the input slices. Like
-// RunPairs it is strict: per-job errors escalate to panics.
-func RunMatrix(cfg config.Config, workloads []trace.Workload, designs []string) [][]cpu.Result {
-	pairs := make([]Pair, 0, len(workloads)*len(designs))
-	for _, w := range workloads {
-		for _, d := range designs {
-			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
-		}
-	}
-	flat := RunPairs(pairs)
-	out := make([][]cpu.Result, len(workloads))
-	for wi := range workloads {
-		out[wi] = flat[wi*len(designs) : (wi+1)*len(designs)]
-	}
-	return out
 }

@@ -16,15 +16,20 @@ func parallelConfig() config.Config {
 	return cfg
 }
 
+// TestParallelismClamp pins the Workers defaults: a negative count means
+// one worker per CPU like zero, and more workers than pairs is clamped;
+// every setting runs the whole batch.
 func TestParallelismClamp(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(-3)
-	if Parallelism() < 1 {
-		t.Fatalf("Parallelism()=%d after negative set", Parallelism())
-	}
-	SetParallelism(7)
-	if Parallelism() != 7 {
-		t.Fatalf("Parallelism()=%d, want 7", Parallelism())
+	w, _ := trace.ByName("505.mcf_r")
+	cfg := parallelConfig()
+	cfg.AccessesPerCore = 200
+	pairs := []Pair{{Cfg: cfg, Workload: w, Design: DesignSimple}, {Cfg: cfg, Workload: w, Design: DesignBaryon}}
+	for _, n := range []int{-3, 0, 1, 7} {
+		for i, pr := range (Runner{Workers: n}).Run(pairs) {
+			if pr.Err != nil || pr.Result.Cycles == 0 {
+				t.Fatalf("Workers=%d pair %d: err=%v cycles=%d", n, i, pr.Err, pr.Result.Cycles)
+			}
+		}
 	}
 }
 
@@ -32,7 +37,6 @@ func TestParallelismClamp(t *testing.T) {
 // engine produces byte-for-byte the results of serial execution, slotted in
 // submission order regardless of completion order.
 func TestRunPairsDeterministic(t *testing.T) {
-	defer SetParallelism(0)
 	cfg := parallelConfig()
 	workloads := trace.Representative()
 	designs := []string{DesignUnison, DesignDICE, DesignBaryon}
@@ -43,10 +47,8 @@ func TestRunPairsDeterministic(t *testing.T) {
 		}
 	}
 
-	SetParallelism(1)
-	serial := RunPairs(pairs)
-	SetParallelism(4)
-	parallel := RunPairs(pairs)
+	serial := Runner{Workers: 1}.mustRun(pairs)
+	parallel := Runner{Workers: 4}.mustRun(pairs)
 
 	if len(serial) != len(parallel) {
 		t.Fatalf("result count: serial=%d parallel=%d", len(serial), len(parallel))
@@ -72,19 +74,16 @@ func TestRunPairsDeterministic(t *testing.T) {
 // TestFig9TableDeterministic renders a full figure twice — serially and with
 // four workers — and requires the rendered tables to match exactly.
 func TestFig9TableDeterministic(t *testing.T) {
-	defer SetParallelism(0)
 	cfg := parallelConfig()
 
-	render := func() string {
-		_, tab := Fig9(cfg)
+	render := func(r Runner) string {
+		_, tab := Fig9(r, cfg)
 		var sb strings.Builder
 		tab.Render(&sb)
 		return sb.String()
 	}
-	SetParallelism(1)
-	serial := render()
-	SetParallelism(4)
-	parallel := render()
+	serial := render(Runner{Workers: 1})
+	parallel := render(Runner{Workers: 4})
 	if serial != parallel {
 		t.Fatalf("Fig9 table differs between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}

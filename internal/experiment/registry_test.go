@@ -7,7 +7,7 @@ import (
 )
 
 // TestRunPairsRegistriesNotShared enforces the registry concurrency
-// contract (see sim.Stats and DESIGN.md): RunPairs gets goroutine safety by
+// contract (see sim.Stats and DESIGN.md): Runner.Run gets goroutine safety by
 // giving every job its own registry, never by locking one. If two jobs ever
 // shared a registry the race detector would fire on the counter increments;
 // this test additionally pins the structural property that every result
@@ -22,7 +22,7 @@ func TestRunPairsRegistriesNotShared(t *testing.T) {
 			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
 			Pair{Cfg: cfg, Workload: w, Design: DesignDICE})
 	}
-	results := RunPairs(pairs)
+	results := Runner{}.mustRun(pairs)
 	if len(results) != len(pairs) {
 		t.Fatalf("%d results for %d pairs", len(results), len(pairs))
 	}

@@ -43,7 +43,7 @@ var ResilienceDesigns = []string{DesignUnison, DesignDICE, DesignBaryon}
 // event totals, and the feedback into serve rate and tail latency. Runs are
 // deterministic per (cfg.Seed, fault seed); the BER=0 column doubles as a
 // fault-off control, byte-identical to a run without the fault subsystem.
-func Resilience(cfg config.Config) ([]ResilienceRow, *Table) {
+func Resilience(r Runner, cfg config.Config) ([]ResilienceRow, *Table) {
 	w := trace.Representative()[0]
 	pairs := make([]Pair, 0, len(ResilienceDesigns)*len(ResilienceBERs))
 	for _, d := range ResilienceDesigns {
@@ -54,7 +54,7 @@ func Resilience(cfg config.Config) ([]ResilienceRow, *Table) {
 			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: d})
 		}
 	}
-	results := RunPairs(pairs)
+	results := r.mustRun(pairs)
 
 	var rows []ResilienceRow
 	t := &Table{

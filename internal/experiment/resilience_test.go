@@ -29,8 +29,8 @@ func TestFaultOffByteIdentity(t *testing.T) {
 		t.Fatal("tuning-only fault config reports enabled")
 	}
 	for _, design := range []string{DesignBaryon, DesignUnison} {
-		a := RunOne(base, w, design)
-		b := RunOne(tuned, w, design)
+		a := runOne(base, w, design)
+		b := runOne(tuned, w, design)
 		if a.Stats.String() != b.Stats.String() {
 			t.Fatalf("%s: disabled fault config changed the run:\n%s\nvs\n%s",
 				design, a.Stats.String(), b.Stats.String())
@@ -48,7 +48,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 		cfg.Fault.Slow.BER = 1e-4
 		cfg.Fault.ECCCorrectBits = 2
 		cfg.Fault.Seed = faultSeed
-		res := RunOne(cfg, w, DesignBaryon)
+		res := runOne(cfg, w, DesignBaryon)
 		return res.Stats.String()
 	}
 	a1, a2, b := run(7), run(7), run(8)
@@ -69,7 +69,7 @@ func TestResilienceMonotone(t *testing.T) {
 		t.Skip("runs the full resilience grid")
 	}
 	cfg := resilienceConfig()
-	rows, _ := Resilience(cfg)
+	rows, _ := Resilience(Runner{}, cfg)
 	if len(rows) != len(ResilienceDesigns)*len(ResilienceBERs) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(ResilienceDesigns)*len(ResilienceBERs))
 	}
@@ -111,8 +111,8 @@ func TestResilienceDeterministic(t *testing.T) {
 		t.Skip("runs the full resilience grid twice")
 	}
 	cfg := resilienceConfig()
-	a, _ := Resilience(cfg)
-	b, _ := Resilience(cfg)
+	a, _ := Resilience(Runner{}, cfg)
+	b, _ := Resilience(Runner{}, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical resilience runs diverged")
 	}

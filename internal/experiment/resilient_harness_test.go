@@ -14,9 +14,13 @@ import (
 // registerPoisonedDesign registers a design that passes every load-time and
 // spec-level validation but panics inside the controller factory (BlockBytes
 // 0 divides by zero in the geometry math) — the shape of bug panic isolation
-// exists for. Each test registers its own name; the registry is global.
+// exists for. Each test registers its own name; the registry is global, so
+// a repeated run (-count) reuses the registration.
 func registerPoisonedDesign(t *testing.T, name string) {
 	t.Helper()
+	if _, ok := Lookup(name); ok {
+		return
+	}
 	err := Register(DesignSpec{
 		Name:      name,
 		Kind:      KindBaryon,
@@ -38,9 +42,13 @@ func TestPanicIsolation(t *testing.T) {
 		{Cfg: cfg, Workload: w, Design: "Poisoned-Isolation"},
 		{Cfg: cfg, Workload: w, Design: DesignBaryon},
 	}
-	out := RunPairsCtx(context.Background(), pairs)
+	out := Runner{}.Run(pairs)
 	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "panicked") {
 		t.Fatalf("poisoned pair error = %v, want captured panic", out[1].Err)
+	}
+	// The boundary belongs to RunPair itself, not only to the batch.
+	if _, err := RunPair(context.Background(), pairs[1]); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("RunPair on the poisoned pair: error = %v, want captured panic", err)
 	}
 	for _, i := range []int{0, 2} {
 		if out[i].Err != nil {
@@ -53,11 +61,11 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestRunOneCtxErrors pins the error (not panic) contract of the validated
-// single-pair entry point, RunPairCtx.
+// single-pair entry point, RunPair.
 func TestRunOneCtxErrors(t *testing.T) {
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "No-Such-Design"}); err == nil {
+	if _, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "No-Such-Design"}); err == nil {
 		t.Fatal("unknown design did not error")
 	}
 	// A replacement knob on a kind without one is a spec-level error.
@@ -68,14 +76,14 @@ func TestRunOneCtxErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	if _, err := RunPairCtx(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "BadKnob-Baryon"}); err == nil ||
+	if _, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "BadKnob-Baryon"}); err == nil ||
 		!strings.Contains(err.Error(), "replacement-policy") {
 		t.Fatalf("bad knob error = %v, want replacement-policy error", err)
 	}
 	// A pre-cancelled context refuses to run at all.
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPairCtx(done, Pair{Cfg: cfg, Workload: w, Design: DesignSimple}); !errors.Is(err, context.Canceled) {
+	if _, err := RunPair(done, Pair{Cfg: cfg, Workload: w, Design: DesignSimple}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run error = %v, want context.Canceled", err)
 	}
 }
@@ -97,7 +105,7 @@ func TestCancellationMidSweep(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	out := RunPairsCtx(ctx, pairs)
+	out := Runner{Ctx: ctx}.Run(pairs)
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancelled sweep still took %s", elapsed)
 	}
@@ -112,16 +120,41 @@ func TestCancellationMidSweep(t *testing.T) {
 	}
 }
 
-// TestLegacyRunPairsStrict pins the legacy contract: per-pair errors
-// escalate to a panic rather than being silently dropped.
+// TestLegacyRunPairsStrict pins the harnesses' strict contract: per-pair
+// errors escalate to a panic rather than being silently dropped.
 func TestLegacyRunPairsStrict(t *testing.T) {
 	registerPoisonedDesign(t, "Poisoned-Legacy")
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunPairs with a poisoned pair did not panic")
+			t.Fatal("mustRun with a poisoned pair did not panic")
 		}
 	}()
-	RunPairs([]Pair{{Cfg: cfg, Workload: w, Design: "Poisoned-Legacy"}})
+	Runner{}.mustRun([]Pair{{Cfg: cfg, Workload: w, Design: "Poisoned-Legacy"}})
+}
+
+// TestBreakdownHarnessesCancelled pins that the harnesses which read
+// controller state (Fig3a, Fig3b, Fig4) run under the Runner's context: with
+// Ctx already cancelled each stops with the context error instead of
+// returning rows.
+func TestBreakdownHarnessesCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := Runner{Ctx: ctx}
+	cfg := quickConfig()
+	for name, run := range map[string]func(){
+		"Fig3a": func() { Fig3a(r, cfg) },
+		"Fig3b": func() { Fig3b(r, cfg) },
+		"Fig4":  func() { Fig4(r, cfg) },
+	} {
+		err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			run()
+			return nil
+		}()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: got %v, want a panic wrapping context.Canceled", name, err)
+		}
+	}
 }

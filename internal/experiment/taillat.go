@@ -16,7 +16,7 @@ var TailLatencyDesigns = []string{DesignUnison, DesignDICE, DesignBaryon}
 // the bimodality Baryon's mechanisms create (stage hits vs. slow-path NVM
 // reads), which the percentile spread makes visible. All values are cycles,
 // measured over the post-warmup window via histogram window deltas.
-func TailLatency(cfg config.Config) *Table {
+func TailLatency(r Runner, cfg config.Config) *Table {
 	t := &Table{
 		Title:  "Tail latency: demand completion latency per design (cycles)",
 		Header: []string{"workload", "design", "mean", "p50", "p90", "p99", "p99.9", "max"},
@@ -27,7 +27,7 @@ func TailLatency(cfg config.Config) *Table {
 		},
 	}
 	workloads := trace.Representative()
-	grid := RunMatrix(cfg, workloads, TailLatencyDesigns)
+	grid := r.runGrid(cfg, workloads, TailLatencyDesigns)
 	for wi, w := range workloads {
 		for di, d := range TailLatencyDesigns {
 			m := grid[wi][di].Measured.MemLat

@@ -9,19 +9,16 @@ import (
 	"baryon/internal/experiment"
 )
 
-// ObservePairs installs an experiment pair observer (see
-// experiment.AddPairObserver) that writes one bundle per successful run into
-// dir, named by FileName. Distinct pairs write distinct files, so the
-// observer is safe under the experiment worker pool without locking; bundle
-// build or write failures are reported to errw and do not affect the runs
-// themselves. Callers uninstall by calling Remove on the returned handle
-// when the batch is done; other observers installed concurrently (e.g. by a
-// job server sharing the process) are unaffected.
-func ObservePairs(dir string, errw io.Writer) (*experiment.ObserverHandle, error) {
+// ObservePairs returns an experiment.Runner Observe func that writes one
+// bundle per successful run into dir, named by FileName. Distinct pairs
+// write distinct files, so the func is safe under the worker pool without
+// locking; bundle build or write failures are reported to errw and do not
+// affect the runs themselves. It creates dir up front.
+func ObservePairs(dir string, errw io.Writer) (func(experiment.Pair, experiment.PairResult), error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	h := experiment.AddPairObserver(func(p experiment.Pair, pr experiment.PairResult) {
+	return func(p experiment.Pair, pr experiment.PairResult) {
 		spec, ok := experiment.Lookup(p.Design)
 		if !ok {
 			fmt.Fprintf(errw, "report: design %q not registered, no bundle written\n", p.Design)
@@ -40,6 +37,5 @@ func ObservePairs(dir string, errw io.Writer) (*experiment.ObserverHandle, error
 		if err := WriteFile(filepath.Join(dir, FileName(key)), b); err != nil {
 			fmt.Fprintf(errw, "report: %v\n", err)
 		}
-	})
-	return h, nil
+	}, nil
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,7 +31,10 @@ func buildBundle(t *testing.T, cfg config.Config, workload, design string) Bundl
 	if !ok {
 		t.Fatalf("unknown design %q", design)
 	}
-	res := experiment.RunOne(cfg, w, design)
+	res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: design})
+	if err != nil {
+		t.Fatal(err)
+	}
 	key, err := Key(spec, cfg, workload)
 	if err != nil {
 		t.Fatal(err)
@@ -193,11 +197,10 @@ func TestDiffMissingMetric(t *testing.T) {
 func TestObservePairs(t *testing.T) {
 	dir := t.TempDir()
 	var errBuf bytes.Buffer
-	h, err := ObservePairs(dir, &errBuf)
+	observe, err := ObservePairs(dir, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Remove()
 
 	cfg := quickConfig()
 	w, _ := trace.ByName("505.mcf_r")
@@ -205,7 +208,7 @@ func TestObservePairs(t *testing.T) {
 		{Cfg: cfg, Workload: w, Design: "Simple"},
 		{Cfg: cfg, Workload: w, Design: "Baryon"},
 	}
-	for _, pr := range experiment.RunPairsCtx(t.Context(), pairs) {
+	for _, pr := range (experiment.Runner{Observe: observe}).Run(pairs) {
 		if pr.Err != nil {
 			t.Fatal(pr.Err)
 		}

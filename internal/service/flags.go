@@ -70,41 +70,33 @@ func RegisterFlags(fs *flag.FlagSet, which FlagOpt, timeoutUsage string) *Flags 
 	return f
 }
 
-// Setup applies the parsed flags to a command lifecycle: wraps ctx in the
-// -timeout deadline, installs -parallel on the experiment pool, loads and
-// registers every -design-file(s) spec (exposed as Specs), and installs the
-// -bundle-dir pair observer. The returned cleanup cancels the deadline and
-// removes this command's observer (other owners' observers are untouched);
-// it is safe to skip on process exit.
-func (f *Flags) Setup(ctx context.Context, errw io.Writer) (context.Context, func(), error) {
-	cancel := context.CancelFunc(func() {})
-	if f.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, f.Timeout)
-	}
-	if f.which&FlagParallel != 0 {
-		experiment.SetParallelism(f.Parallel)
-	}
+// Setup applies the parsed flags to a command lifecycle and returns the
+// command's experiment.Runner: ctx wrapped in the -timeout deadline, the
+// -parallel worker count and, with -bundle-dir, an Observe func that writes
+// one report bundle per successful run. It also loads and registers every
+// -design-file(s) spec (exposed as Specs). The returned cleanup cancels the
+// deadline; it is safe to skip on process exit.
+func (f *Flags) Setup(ctx context.Context, errw io.Writer) (experiment.Runner, func(), error) {
+	r := experiment.Runner{Ctx: ctx, Workers: f.Parallel}
 	if f.designFiles != "" {
 		for _, path := range strings.Split(f.designFiles, ",") {
 			spec, err := experiment.LoadSpecFile(strings.TrimSpace(path))
 			if err != nil {
-				cancel()
-				return ctx, func() {}, fmt.Errorf("loading design file: %w", err)
+				return r, func() {}, fmt.Errorf("loading design file: %w", err)
 			}
 			f.Specs = append(f.Specs, spec)
 		}
 	}
-	cleanup := func() { cancel() }
 	if f.BundleDir != "" {
-		h, err := report.ObservePairs(f.BundleDir, errw)
+		observe, err := report.ObservePairs(f.BundleDir, errw)
 		if err != nil {
-			cancel()
-			return ctx, func() {}, fmt.Errorf("bundle dir: %w", err)
+			return r, func() {}, fmt.Errorf("bundle dir: %w", err)
 		}
-		cleanup = func() {
-			h.Remove()
-			cancel()
-		}
+		r.Observe = observe
 	}
-	return ctx, cleanup, nil
+	cancel := context.CancelFunc(func() {})
+	if f.Timeout > 0 {
+		r.Ctx, cancel = context.WithTimeout(ctx, f.Timeout)
+	}
+	return r, cancel, nil
 }

@@ -1,8 +1,8 @@
 // Package service is the shared run-orchestration core every command
 // launches simulations through: one Job type (design + workload + seed +
 // run-shape overrides, canonicalized and content-addressed by the
-// internal/report spec hash), a bounded worker pool built on
-// experiment.RunPairsCtx, singleflight collapsing of concurrent identical
+// internal/report spec hash), a bounded worker pool running each job through
+// experiment.RunPair, singleflight collapsing of concurrent identical
 // submissions, and a content-addressed result store whose hits return
 // byte-identical bundles without simulating. cmd/baryonsim, cmd/sweep and
 // cmd/experiments share its flag plumbing and single-run wiring;

@@ -246,8 +246,8 @@ func (s *Service) simulate(ctx context.Context, r Resolved) (Outcome, error) {
 	return out, err
 }
 
-// runPair executes the resolved job as a one-pair batch and stores its
-// canonical bundle in the result store.
+// runPair executes the resolved job and stores its canonical bundle in the
+// result store.
 func (s *Service) runPair(ctx context.Context, r Resolved, st *jobState) (Outcome, error) {
 	pair := experiment.Pair{
 		Cfg:      r.Cfg,
@@ -255,14 +255,13 @@ func (s *Service) runPair(ctx context.Context, r Resolved, st *jobState) (Outcom
 		Design:   r.Job.Design,
 		Obs:      &experiment.RunObs{Introspector: st.intro},
 	}
-	// A one-pair batch through the shared pool entry point buys the same
-	// per-pair panic isolation sweeps get: a controller bug fails the job,
-	// not the server.
-	pr := experiment.RunPairsCtx(ctx, []experiment.Pair{pair})[0]
-	if pr.Err != nil {
-		return Outcome{}, pr.Err
+	// RunPair's panic boundary is the same per-pair isolation sweeps get: a
+	// controller bug fails the job, not the server.
+	res, err := experiment.RunPair(ctx, pair)
+	if err != nil {
+		return Outcome{}, err
 	}
-	b, err := report.New(r.Key, pr.Result)
+	b, err := report.New(r.Key, res)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -274,7 +273,7 @@ func (s *Service) runPair(ctx context.Context, r Resolved, st *jobState) (Outcom
 	// memory-only (counted, logged, visible on /metrics) while this result
 	// is served from memory like any other.
 	s.cache.Put(r.Hash, data)
-	return Outcome{Hash: r.Hash, Bundle: data, Result: &pr.Result}, nil
+	return Outcome{Hash: r.Hash, Bundle: data, Result: &res}, nil
 }
 
 // --- Async submissions (the daemon's job table) --------------------------

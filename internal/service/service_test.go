@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"baryon/internal/config"
+	"baryon/internal/experiment"
 	"baryon/internal/report"
 )
 
@@ -694,5 +696,43 @@ func TestWorkerPoolBounds(t *testing.T) {
 	}
 	if sims := s.Simulations(); sims != 4 {
 		t.Fatalf("%d simulations, want 4 distinct", sims)
+	}
+}
+
+// TestPanickingControllerFailsOnlyItsJob pins the server's per-job panic
+// isolation: a design whose controller panics (BlockBytes 0 passes spec
+// validation but divides by zero in the geometry math) fails its own job
+// with the captured panic, Status reports it failed, and the same Service
+// then runs a good job.
+func TestPanickingControllerFailsOnlyItsJob(t *testing.T) {
+	if _, ok := experiment.Lookup("Poisoned-Service"); !ok {
+		err := experiment.Register(experiment.DesignSpec{
+			Name:      "Poisoned-Service",
+			Kind:      experiment.KindBaryon,
+			Overrides: config.Overrides{BlockBytes: config.Ptr[uint64](0)},
+		})
+		if err != nil {
+			t.Fatalf("registering poisoned design: %v", err)
+		}
+	}
+	s := quickService(t, Options{})
+	ctx := context.Background()
+	bad := Job{Design: "Poisoned-Service", Workload: "505.mcf_r", Seed: 1}
+	r, err := s.Resolve(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(ctx, bad); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("poisoned job error = %v, want a captured panic", err)
+	}
+	if st, ok := s.Status(r.Hash); !ok || st.State != StateFailed {
+		t.Fatalf("poisoned job status = %+v (found %v), want %q", st, ok, StateFailed)
+	}
+	out, err := s.Run(ctx, quickJob)
+	if err != nil {
+		t.Fatalf("good job after a panicking one: %v", err)
+	}
+	if out.Result == nil || out.Result.Cycles == 0 || len(out.Bundle) == 0 {
+		t.Fatalf("good job produced no result: %+v", out)
 	}
 }

@@ -85,7 +85,7 @@ func RunSingle(ctx context.Context, req SingleRun) (cpu.Result, error) {
 	if req.Tracer != nil || in != nil {
 		pair.Obs = &experiment.RunObs{Tracer: req.Tracer, Introspector: in}
 	}
-	return experiment.RunPairCtx(ctx, pair)
+	return experiment.RunPair(ctx, pair)
 }
 
 // BundleFor builds the deterministic report bundle for a completed run of a

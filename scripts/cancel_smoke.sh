@@ -3,7 +3,8 @@
 # shutdown contract — a valid partial CSV with cancelled rows, a summary on
 # stderr, and a non-zero exit. `make cancel-smoke` and CI run this; the same
 # contract is covered in-process by cmd/sweep's tests, so this script is the
-# end-to-end check that the signal path itself works.
+# end-to-end check that the signal path itself works. A second step checks
+# that cmd/experiments -timeout cancels a figure harness promptly.
 set -eu
 
 tmp=$(mktemp -d)
@@ -57,3 +58,28 @@ if ! grep -q "cancelled" "$tmp/err.log"; then
 fi
 
 echo "cancel-smoke OK: exit $status, $(wc -l <"$tmp/out.csv") CSV lines, summary: $(tail -n1 "$tmp/err.log")"
+
+# cmd/experiments: a 1 s -timeout must cancel fig3b (16 Baryon runs, several
+# seconds uncancelled) within 5 s of launch, report it cancelled and exit
+# non-zero.
+go build -o "$tmp/experiments" ./cmd/experiments
+start=$(date +%s)
+status=0
+"$tmp/experiments" -only fig3b -timeout 1s >"$tmp/fig3b.out" 2>"$tmp/fig3b.err" || status=$?
+elapsed=$(($(date +%s) - start))
+if [ "$status" -eq 0 ]; then
+    echo "FAIL: experiments -only fig3b -timeout 1s exited 0" >&2
+    cat "$tmp/fig3b.err" >&2
+    exit 1
+fi
+if ! grep -q "\[fig3b cancelled" "$tmp/fig3b.err"; then
+    echo "FAIL: fig3b not reported cancelled on stderr" >&2
+    cat "$tmp/fig3b.err" >&2
+    exit 1
+fi
+if [ "$elapsed" -gt 5 ]; then
+    echo "FAIL: experiments -only fig3b -timeout 1s took ${elapsed}s (> 5s)" >&2
+    exit 1
+fi
+
+echo "cancel-smoke OK: experiments fig3b exit $status after ${elapsed}s, summary: $(tail -n1 "$tmp/fig3b.err")"
