@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,12 +42,27 @@ type benchResult struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// report is the JSON document benchjson emits and compares against.
+// report is the JSON document benchjson emits and compares against. NumCPU
+// and GOMAXPROCS record the machine the numbers were taken on, since wall
+// time is only comparable between runs on the same host shape.
 type report struct {
 	Bench      string                  `json:"bench"`
 	Count      int                     `json:"count"`
 	Benchtime  string                  `json:"benchtime"`
+	NumCPU     int                     `json:"numcpu"`
+	GOMAXPROCS int                     `json:"gomaxprocs"`
 	Benchmarks map[string]*benchResult `json:"benchmarks"`
+}
+
+// newReport starts an empty report for one benchjson run on this host. The
+// go test child inherits this process's environment, so it runs with the
+// same GOMAXPROCS.
+func newReport(bench string, count int, benchtime string) *report {
+	return &report{
+		Bench: bench, Count: count, Benchtime: benchtime,
+		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchmarks: map[string]*benchResult{},
+	}
 }
 
 func main() {
@@ -69,10 +85,7 @@ func main() {
 		fatalf("go test -bench failed: %v", err)
 	}
 
-	rep := &report{
-		Bench: *benchRe, Count: *count, Benchtime: *benchtime,
-		Benchmarks: map[string]*benchResult{},
-	}
+	rep := newReport(*benchRe, *count, *benchtime)
 	for _, line := range strings.Split(string(outBytes), "\n") {
 		name, res, ok := parseBenchLine(line)
 		if !ok {

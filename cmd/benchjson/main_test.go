@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,5 +56,23 @@ func TestCheckBaseline(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestReportRecordsHost checks every report carries the host's CPU count
+// and GOMAXPROCS under the keys trajectory readers look for.
+func TestReportRecordsHost(t *testing.T) {
+	buf, err := json.Marshal(newReport("SingleRun", 5, "2x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]int{"numcpu": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0)} {
+		if v, ok := got[key].(float64); !ok || int(v) != want || want < 1 {
+			t.Errorf("%s = %v, want %d", key, got[key], want)
+		}
 	}
 }

@@ -4,6 +4,18 @@
 // and the run harness). Dirty LLC evictions become memory-controller writes;
 // LLC misses become controller reads; decompression by-products can be
 // installed as free prefetches (Section III-E, memory-to-LLC prefetching).
+//
+// Back-invalidation is directed by a per-line sharer mask, as in real
+// inclusive LLC directories: each LLC way carries one bit per core, and an
+// LLC eviction invalidates only the cores whose bit is set. The mask is a
+// superset of true presence — a core's bit is set whenever that core's L2
+// (and so its L1, since L1 ⊆ L2 per core) holds the line; a stale bit costs
+// one no-op probe, a missing bit would leave a copy behind. A bit is set on
+// L2 fill and cleared on L2 eviction. One case escapes the LLC: a prefetch
+// install can evict the demand line installed just before it in the same
+// set, and that line is still filled into the core's L2/L1. Such orphaned
+// lines keep their sharer bits in a small map on the hierarchy until the
+// line is installed in the LLC again, when the bits move into its mask.
 package cache
 
 import (
@@ -32,6 +44,10 @@ type Cache struct {
 	dir  *hybrid.Dir[cacheLine]
 	rep  hybrid.Replacer
 	tick uint64
+	// sharers is the per-way core-presence mask, parallel to the directory's
+	// ways (set-major). Only the hierarchy's shared LLC allocates it; for
+	// every other cache it is nil and Victim.Sharers is zero.
+	sharers []uint64
 
 	hits, misses *sim.Counter
 }
@@ -92,11 +108,13 @@ func (c *Cache) Probe(addr uint64) bool {
 	return w >= 0
 }
 
-// Victim describes a line displaced by Install.
+// Victim describes a line displaced by Install. Sharers is the displaced
+// way's core-presence mask (zero for caches that do not track sharers).
 type Victim struct {
-	Addr  uint64
-	Dirty bool
-	Valid bool
+	Addr    uint64
+	Sharers uint64
+	Dirty   bool
+	Valid   bool
 }
 
 // Install inserts the line at addr (line-aligned), evicting the LRU way if
@@ -117,6 +135,11 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 	if m.Valid {
 		v = Victim{Addr: m.Key, Dirty: line.dirty, Valid: true}
 	}
+	if c.sharers != nil {
+		i := si*c.cfg.Ways + vw
+		v.Sharers = c.sharers[i]
+		c.sharers[i] = 0
+	}
 	*m = hybrid.WayMeta{Key: addr, Valid: true, LastUse: c.tick}
 	*line = cacheLine{dirty: dirty}
 	return v
@@ -131,6 +154,32 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 	return false
 }
 
+// addSharers ORs mask into the sharer mask of the line at addr and reports
+// whether the line is present. Only valid on a sharer-tracking cache.
+func (c *Cache) addSharers(addr, mask uint64) bool {
+	si, w := c.find(addr)
+	if w < 0 {
+		return false
+	}
+	c.sharers[si*c.cfg.Ways+w] |= mask
+	return true
+}
+
+// release clears mask from the sharer mask of the line at addr, marking the
+// line dirty if dirty is set, and reports whether the line is present. Only
+// valid on a sharer-tracking cache.
+func (c *Cache) release(addr, mask uint64, dirty bool) bool {
+	si, w := c.find(addr)
+	if w < 0 {
+		return false
+	}
+	c.sharers[si*c.cfg.Ways+w] &^= mask
+	if dirty {
+		c.dir.Payload(si, w).dirty = true
+	}
+	return true
+}
+
 // Invalidate removes the line if present, reporting (present, wasDirty).
 func (c *Cache) Invalidate(addr uint64) (bool, bool) {
 	if si, w := c.find(addr); w >= 0 {
@@ -138,6 +187,9 @@ func (c *Cache) Invalidate(addr uint64) (bool, bool) {
 		dirty := line.dirty
 		*m = hybrid.WayMeta{}
 		*line = cacheLine{}
+		if c.sharers != nil {
+			c.sharers[si*c.cfg.Ways+w] = 0
+		}
 		return true, dirty
 	}
 	return false, false

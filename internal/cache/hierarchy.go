@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"baryon/internal/hybrid"
@@ -9,10 +10,14 @@ import (
 	"baryon/internal/sim"
 )
 
+// MaxCores bounds HierarchyConfig.Cores: the LLC's per-line sharer mask is
+// one 64-bit word.
+const MaxCores = 64
+
 // HierarchyConfig sizes the cache levels. Sets/ways follow Table I; the LLC
 // is scaled with the memory system (see internal/config).
 type HierarchyConfig struct {
-	Cores int
+	Cores int    // 1..MaxCores
 	L1    Config // per core
 	L2    Config // per core
 	LLC   Config // shared, inclusive
@@ -60,6 +65,16 @@ type Hierarchy struct {
 	latMemFast, latMemSlow, lat *sim.Histogram
 
 	tracer *obs.Tracer
+
+	// orphans holds the sharer bits of lines that cores hold in L2/L1 but
+	// that are absent from the LLC (a prefetch install evicted the demand
+	// line before it was filled upward). The bits move into the LLC way's
+	// sharer mask when the line is installed there again.
+	orphans map[uint64]uint64
+	// probeAll makes every LLC eviction probe all cores instead of the
+	// victim's sharers; it is the full-probe reference the sharer-mask
+	// tests compare against.
+	probeAll bool
 }
 
 // NewHierarchy builds the cache stack in front of ctrl. Every level —
@@ -68,7 +83,11 @@ type Hierarchy struct {
 // "l2.coreK." scopes, so their hit/miss counts survive the run and
 // participate in snapshots instead of vanishing into private collections.
 func NewHierarchy(cfg HierarchyConfig, ctrl hybrid.Controller, stats *sim.Stats) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, ctrl: ctrl}
+	if cfg.Cores < 1 || cfg.Cores > MaxCores {
+		panic(fmt.Sprintf("cache: %d cores, want 1..%d (the LLC sharer mask is one 64-bit word)",
+			cfg.Cores, MaxCores))
+	}
+	h := &Hierarchy{cfg: cfg, ctrl: ctrl, orphans: map[uint64]uint64{}}
 	h.l1 = make([]*Cache, cfg.Cores)
 	h.l2 = make([]*Cache, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
@@ -78,6 +97,7 @@ func NewHierarchy(cfg HierarchyConfig, ctrl hybrid.Controller, stats *sim.Stats)
 		h.l2[i] = New(l2cfg, stats.Scope(fmt.Sprintf("l2.core%d", i)))
 	}
 	h.llc = New(cfg.LLC, stats)
+	h.llc.sharers = make([]uint64, cfg.LLC.Sets*cfg.LLC.Ways)
 	s := stats.Scope("hierarchy")
 	h.llcMisses = s.Counter("llcMisses")
 	h.llcWritebacks = s.Counter("llcWritebacks")
@@ -223,42 +243,73 @@ func (h *Hierarchy) Access(core int, now uint64, addr uint64, write bool) uint64
 }
 
 // fillL1 installs into a core's L1; a displaced dirty victim propagates its
-// dirtiness to the L2 copy (present by inclusion).
+// dirtiness to the L2 copy.
 func (h *Hierarchy) fillL1(core int, addr uint64, dirty bool, now uint64) {
 	v := h.l1[core].Install(addr, dirty)
 	if v.Valid && v.Dirty {
 		if !h.l2[core].MarkDirty(v.Addr) {
-			// Inclusion was broken by a concurrent back-invalidate path;
-			// write the line back directly.
+			// L1 ⊆ L2 per core: every L2 eviction and back-invalidation
+			// also drops the L1 copy, so the L2 holds every L1 victim. The
+			// hierarchy's one inclusion break is at the LLC (a prefetch
+			// install evicting the demand line, see fillL2), not here;
+			// write the line back rather than lose it if that ever changes.
 			h.writeback(v.Addr, now)
 		}
 	}
 }
 
-// fillL2 installs into a core's L2, back-invalidating the L1 copy of any
-// displaced victim and propagating dirtiness to the LLC.
+// fillL2 installs into a core's L2 and records the core as a sharer of the
+// line, back-invalidating the L1 copy of any displaced victim, dropping the
+// core from the victim's sharers and propagating its dirtiness to the LLC.
+// A line absent from the LLC — the demand line a prefetch install evicted
+// in the same Access — is tracked in orphans instead, and a dirty orphan
+// victim is written back directly.
 func (h *Hierarchy) fillL2(core int, addr uint64, now uint64) {
+	bit := uint64(1) << uint(core)
+	if !h.llc.addSharers(addr, bit) {
+		h.orphans[addr] |= bit
+	}
 	v := h.l2[core].Install(addr, false)
 	if !v.Valid {
 		return
 	}
 	_, l1Dirty := h.l1[core].Invalidate(v.Addr)
-	if v.Dirty || l1Dirty {
-		if !h.llc.MarkDirty(v.Addr) {
-			h.writeback(v.Addr, now)
-		}
+	dirty := v.Dirty || l1Dirty
+	if h.llc.release(v.Addr, bit, dirty) {
+		return
+	}
+	if rest := h.orphans[v.Addr] &^ bit; rest != 0 {
+		h.orphans[v.Addr] = rest
+	} else {
+		delete(h.orphans, v.Addr)
+	}
+	if dirty {
+		h.writeback(v.Addr, now)
 	}
 }
 
-// installLLC installs into the shared LLC, back-invalidating all upper-level
-// copies of the victim and writing it back if dirty anywhere.
+// installLLC installs into the shared LLC, back-invalidating the victim's
+// upper-level copies in its sharer cores and writing it back if dirty
+// anywhere. A line installed while orphaned copies of it exist takes over
+// their sharer bits.
 func (h *Hierarchy) installLLC(addr uint64, dirty bool, now uint64) {
 	v := h.llc.Install(addr, dirty)
+	if len(h.orphans) > 0 {
+		if mask, ok := h.orphans[addr]; ok {
+			h.llc.addSharers(addr, mask)
+			delete(h.orphans, addr)
+		}
+	}
 	if !v.Valid {
 		return
 	}
 	anyDirty := v.Dirty
-	for core := 0; core < h.cfg.Cores; core++ {
+	sharers := v.Sharers
+	if h.probeAll {
+		sharers = ^uint64(0) >> (MaxCores - h.cfg.Cores)
+	}
+	for ; sharers != 0; sharers &= sharers - 1 {
+		core := bits.TrailingZeros64(sharers)
 		if _, d := h.l1[core].Invalidate(v.Addr); d {
 			anyDirty = true
 		}
@@ -307,4 +358,5 @@ func (h *Hierarchy) Flush(now uint64) {
 	for _, a := range h.llc.Lines() {
 		h.llc.Invalidate(a)
 	}
+	clear(h.orphans)
 }

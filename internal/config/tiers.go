@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"baryon/internal/cache"
 	"baryon/internal/hybrid"
 	"baryon/internal/mem"
 )
@@ -78,11 +79,15 @@ func (c *Config) TierSpecs() ([]hybrid.TierSpec, error) {
 	return specs, nil
 }
 
-// Validate checks the configuration's device topology up front, so an
-// unknown preset or a malformed tier list fails at config-validation time
-// with an actionable message instead of deep in construction. It mirrors
-// how unknown -design names are rejected.
+// Validate checks the configuration's core count and device topology up
+// front, so an unsupported core count, an unknown preset or a malformed tier
+// list fails at config-validation time with an actionable message instead of
+// deep in construction. It mirrors how unknown -design names are rejected.
 func (c *Config) Validate() error {
+	if c.Cores < 1 || c.Cores > cache.MaxCores {
+		return fmt.Errorf("config: cores = %d, want 1..%d (the LLC's per-line sharer mask is one 64-bit word)",
+			c.Cores, cache.MaxCores)
+	}
 	if c.SlowMemory != "" {
 		known := false
 		for _, name := range mem.SlowPresetNames() {

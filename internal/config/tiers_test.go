@@ -74,6 +74,8 @@ func TestValidateRejections(t *testing.T) {
 		mut  func(*Config)
 		want string
 	}{
+		{"no cores", func(c *Config) { c.Cores = 0 }, "cores = 0, want 1..64"},
+		{"too many cores", func(c *Config) { c.Cores = 65 }, "cores = 65, want 1..64"},
 		{"unknown slow preset", func(c *Config) { c.SlowMemory = "mram" }, "unknown slowMemory preset"},
 		{"unknown tier preset", func(c *Config) {
 			c.Tiers = []TierConfig{{Preset: "ddr4"}, {Preset: "hbm9"}}
