@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-json fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
+.PHONY: build vet lint test race repeat-smoke bench bench-json fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
 
 # Pinned staticcheck version; CI installs exactly this, so lint results are
 # reproducible. Update deliberately alongside toolchain bumps.
@@ -35,6 +35,13 @@ test:
 # go test's default 10m per-package timeout on small machines.
 race:
 	$(GO) test -race -timeout 40m ./...
+
+# Runs the packages that resolve and load designs twice in one process, so
+# state leaking between test runs (e.g. a process-global table a first run
+# fills and a second run trips over) fails here. About 10 s.
+repeat-smoke:
+	$(GO) test -count=2 ./internal/report ./internal/service
+	$(GO) test -count=2 -run 'Spec|Design|Panic|RunPair|Unknown|Builtin|Legacy' ./internal/experiment
 
 # Short allocation smoke: tracks the single-run hot path (allocs/op). The
 # pinned -count/-benchtime make repeats comparable run-to-run; see README
@@ -102,4 +109,4 @@ serve-smoke:
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
-check: build vet lint race bench fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke
+check: build vet lint race repeat-smoke bench fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke

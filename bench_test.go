@@ -209,9 +209,10 @@ func BenchmarkFig9Parallel(b *testing.B) {
 func BenchmarkSingleRun(b *testing.B) {
 	cfg := benchConfig()
 	w, _ := trace.ByName("505.mcf_r")
+	baryon, _ := experiment.Lookup(experiment.DesignBaryon)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: experiment.DesignBaryon})
+		res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Spec: baryon})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +230,8 @@ func BenchmarkSingleRun(b *testing.B) {
 func BenchmarkSingleRunSteadyState(b *testing.B) {
 	cfg := benchConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	r := cpu.NewRunner(cfg, w, experiment.Factory(experiment.DesignBaryon))
+	baryon, _ := experiment.Lookup(experiment.DesignBaryon)
+	r := cpu.NewRunnerSource(cfg, w, experiment.FactorySpec(baryon))
 	s := r.Stepper()
 	s.Window(cfg.AccessesPerCore) // fill caches, buffer pools and slabs
 	const windowPerCore = 1000
@@ -251,9 +253,10 @@ func BenchmarkSingleRunSteadyState(b *testing.B) {
 func BenchmarkSingleRunTraced(b *testing.B) {
 	cfg := benchConfig()
 	w, _ := trace.ByName("505.mcf_r")
+	baryon, _ := experiment.Lookup(experiment.DesignBaryon)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := cpu.NewRunner(cfg, w, experiment.Factory(experiment.DesignBaryon))
+		r := cpu.NewRunnerSource(cfg, w, experiment.FactorySpec(baryon))
 		r.SetTracer(obs.NewTracer(64, 0))
 		res := r.Run()
 		if res.Cycles == 0 {

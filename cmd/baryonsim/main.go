@@ -66,7 +66,7 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	// The shared service-layer lifecycle: -timeout deadline and -design-file
-	// registration.
+	// loading.
 	r, cleanup, err := common.Setup(ctx, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -75,9 +75,8 @@ func main() {
 	defer cleanup()
 	ctx = r.Ctx
 
-	// A custom design from -design-file joins the registry before any name
-	// validation; unless -design was set explicitly, it is also the design
-	// that runs.
+	// A custom design from -design-file is resolvable by name; unless
+	// -design was set explicitly, it is also the design that runs.
 	if len(common.Specs) > 0 {
 		designSet := false
 		flag.Visit(func(f *flag.Flag) { designSet = designSet || f.Name == "design" })
@@ -88,8 +87,9 @@ func main() {
 
 	// Validate choice flags up front so a typo fails with a usage message
 	// instead of a zero-value run or a late panic.
-	if !experiment.IsDesign(*design) {
-		fmt.Fprintln(os.Stderr, experiment.UnknownDesignError(*design))
+	spec, err := experiment.ResolveDesign(*design, common.Specs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *mode != "cache" && *mode != "flat" {
@@ -142,11 +142,9 @@ func main() {
 	// Validate the run's device topology (the design's overrides applied to
 	// the base config) up front, so an unknown tier preset fails here with
 	// the registered-preset list instead of deep in construction.
-	if spec, ok := experiment.Lookup(*design); ok {
-		if err := experiment.ValidateSpec(spec, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if err := experiment.ValidateSpec(spec, cfg); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var src trace.Source
@@ -187,7 +185,7 @@ func main() {
 		Cfg:           cfg,
 		Workload:      w,
 		Source:        src,
-		Design:        *design,
+		Spec:          spec,
 		StallTimeout:  *stallTimeout,
 		Tracer:        tr,
 		Introspector:  in,
@@ -219,7 +217,7 @@ func main() {
 			// A partial run's counters are interleaving-dependent; a bundle of
 			// them would defeat the determinism contract.
 			fmt.Fprintln(os.Stderr, "-bundle-out: skipping bundle for a partial run")
-		} else if err := writeBundleOut(*bundleOut, *design, cfg, res); err != nil {
+		} else if err := writeBundleOut(*bundleOut, spec, cfg, res); err != nil {
 			fmt.Fprintf(os.Stderr, "writing bundle: %v\n", err)
 			os.Exit(1)
 		}
@@ -351,8 +349,8 @@ func writeMetricsOut(path string, res cpu.Result, cfg config.Config) error {
 // writeBundleOut writes the run's deterministic report bundle ("-" =
 // stdout): the canonical spec key plus the full measurement-window metric
 // state, in the byte-stable shape cmd/runreport diffs.
-func writeBundleOut(path, design string, cfg config.Config, res cpu.Result) error {
-	b, err := service.BundleFor(design, cfg, res)
+func writeBundleOut(path string, spec experiment.DesignSpec, cfg config.Config, res cpu.Result) error {
+	b, err := service.BundleFor(spec, cfg, res)
 	if err != nil {
 		return err
 	}

@@ -44,8 +44,8 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// Setup registers -design-files specs so clients can run custom designs
-	// by name. No timeout flag: the daemon runs until signalled.
+	// Setup loads -design-files specs; the service serves them by name. No
+	// timeout flag: the daemon runs until signalled.
 	_, cleanup, err := common.Setup(ctx, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -65,6 +65,7 @@ func main() {
 		MaxQueue:       *maxQueue,
 		MaxSyncWaiters: *maxSyncWaiters,
 		Log:            os.Stderr,
+		Designs:        common.Specs,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -26,7 +26,7 @@ func writeBundle(t *testing.T, dir, design string, seed uint64, mutate func(*rep
 	if !ok {
 		t.Fatalf("unknown design %q", design)
 	}
-	res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: design})
+	res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

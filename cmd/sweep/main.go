@@ -56,7 +56,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The shared service-layer lifecycle: -design-files registration and
+	// The shared service-layer lifecycle: -design-files loading and
 	// the runner carrying the -timeout deadline, the -parallel pool size and
 	// the -bundle-dir observer.
 	r, cleanup, err := common.Setup(ctx, stderr)
@@ -91,18 +91,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// Validate the design list before any output: an unknown design would
 	// otherwise waste the whole sweep on error rows.
-	var ds []string
+	var ds []experiment.DesignSpec
 	for _, d := range strings.Split(*designs, ",") {
-		d = strings.TrimSpace(d)
-		if !experiment.IsDesign(d) {
-			fmt.Fprintln(stderr, experiment.UnknownDesignError(d))
+		spec, err := experiment.ResolveDesign(strings.TrimSpace(d), common.Specs)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		ds = append(ds, d)
+		ds = append(ds, spec)
 	}
-	for _, spec := range common.Specs {
-		ds = append(ds, spec.Name)
-	}
+	ds = append(ds, common.Specs...)
 
 	var seedList []uint64
 	for _, s := range strings.Split(*seeds, ",") {
@@ -131,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		pairs := make([]experiment.Pair, 0, len(ws)*len(ds))
 		for _, w := range ws {
 			for _, d := range ds {
-				pairs = append(pairs, experiment.Pair{Cfg: cfg, Workload: w, Design: d})
+				pairs = append(pairs, experiment.Pair{Cfg: cfg, Workload: w, Spec: d})
 			}
 		}
 		results := r.Run(pairs)
@@ -149,7 +147,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				failed++
 			}
 			row := []string{
-				pairs[i].Workload.Name, pairs[i].Design, cfg.Mode.String(),
+				pairs[i].Workload.Name, pairs[i].Spec.Name, cfg.Mode.String(),
 				strconv.FormatUint(seed, 10),
 				status,
 				strconv.FormatUint(res.Cycles, 10),
@@ -173,7 +171,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			}
 			if pr.Err != nil && status == "error" {
 				fmt.Fprintf(stderr, "sweep: %s/%s seed %d failed: %s\n",
-					pairs[i].Workload.Name, pairs[i].Design, seed, firstLine(pr.Err.Error()))
+					pairs[i].Workload.Name, pairs[i].Spec.Name, seed, firstLine(pr.Err.Error()))
 			}
 		}
 		out.Flush()

@@ -35,10 +35,11 @@ func main() {
 
 	fmt.Printf("selective commit sweep on %s\n\n", w.Name)
 	var base float64
+	baryon, _ := experiment.Lookup(experiment.DesignBaryon)
 	for _, p := range points {
 		c := cfg
 		p.mut(&c)
-		res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Design: experiment.DesignBaryon})
+		res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Spec: baryon})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,7 +24,8 @@ func main() {
 	for _, name := range []string{"505.mcf_r", "549.fotonik3d_r", "YCSB-B"} {
 		w, _ := trace.ByName(name)
 		run := func(c config.Config, design string) cpu.Result {
-			res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Design: design})
+			spec, _ := experiment.Lookup(design)
+			res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Spec: spec})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -42,7 +42,8 @@ func main() {
 		experiment.DesignSimple, experiment.DesignUnison,
 		experiment.DesignDICE, experiment.DesignBaryon,
 	} {
-		res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: analytics, Design: d})
+		spec, _ := experiment.Lookup(d)
+		res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: analytics, Spec: spec})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -25,7 +25,8 @@ func main() {
 		fmt.Printf("=== %s (%.0f%% writes, zipfian keys) ===\n", name, 100*w.WriteRatio)
 
 		run := func(c config.Config, design string) cpu.Result {
-			res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Design: design})
+			spec, _ := experiment.Lookup(design)
+			res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: c, Workload: w, Spec: spec})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -50,13 +50,13 @@ type diceSlot struct {
 	dirty   uint8
 }
 
-// NewDICE builds the DICE baseline with fastBytes of cache. tiers selects
-// the device topology; nil keeps the classic DDR4-over-NVM pair.
+// NewDICE builds the DICE baseline with fastBytes of cache over the device
+// topology tiers (see config.TierSpecs).
 func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompressLatency uint64, tiers []hybrid.TierSpec) *DICE {
 	d := &DICE{
 		store: store, stats: stats,
 		comp:              compress.New(true),
-		eng:               hybrid.NewEngineFrom(tiers, stats),
+		eng:               hybrid.NewEngine(tiers, stats),
 		dir:               hybrid.NewDirSets[diceSlot](fastBytes/hybrid.CachelineSize, 1),
 		cfCache:           make(map[uint64]uint8),
 		decompressLatency: decompressLatency,

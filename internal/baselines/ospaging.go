@@ -54,12 +54,11 @@ const (
 	osMigBudget = 64
 )
 
-// NewOSPaging builds the OS-managed baseline with fastBytes of fast memory.
-// tiers selects the device topology; nil keeps the classic DDR4-over-NVM
-// pair.
+// NewOSPaging builds the OS-managed baseline with fastBytes of fast memory
+// over the device topology tiers (see config.TierSpecs).
 func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *OSPaging {
 	o := &OSPaging{
-		eng:        hybrid.NewEngineFrom(tiers, stats),
+		eng:        hybrid.NewEngine(tiers, stats),
 		store:      store,
 		stats:      stats,
 		fastPages:  int(fastBytes / osPageSize),

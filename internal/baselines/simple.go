@@ -54,12 +54,12 @@ func (s *Simple) SetTracer(t *obs.Tracer) { s.eng.SetTracer(t) }
 func (s *Simple) SetReplacer(r hybrid.Replacer) { s.rep = r }
 
 // NewSimple builds the Simple baseline with fastBlocks block frames at the
-// given associativity over an osBlocks physical space. tiers selects the
-// device topology; nil keeps the classic DDR4-over-NVM pair.
+// given associativity over an osBlocks physical space, on the device
+// topology tiers (see config.TierSpecs).
 func NewSimple(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *Simple {
 	s := &Simple{
 		store: store, stats: stats, assoc: assoc,
-		eng: hybrid.NewEngineFrom(tiers, stats),
+		eng: hybrid.NewEngine(tiers, stats),
 		dir: hybrid.NewDir[simpleWay](fastBlocks, assoc),
 		rep: hybrid.LRU{},
 		// Remap metadata lookup (on-chip remap cache path).

@@ -66,12 +66,12 @@ const wayPredictAccuracy = 0.95
 // unisonSub is the 64 B sub-block size of Unison Cache.
 const unisonSub = 64
 
-// NewUnison builds the Unison baseline. tiers selects the device topology;
-// nil keeps the classic DDR4-over-NVM pair.
+// NewUnison builds the Unison baseline over the device topology tiers (see
+// config.TierSpecs).
 func NewUnison(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, seed uint64, tiers []hybrid.TierSpec) *Unison {
 	u := &Unison{
 		store: store, stats: stats, assoc: assoc,
-		eng:     hybrid.NewEngineFrom(tiers, stats),
+		eng:     hybrid.NewEngine(tiers, stats),
 		dir:     hybrid.NewDir[unisonWay](fastBlocks, assoc),
 		rep:     hybrid.LRU{},
 		rng:     sim.NewRNG(seed ^ 0x0550A11),

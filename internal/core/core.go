@@ -207,7 +207,7 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	if err != nil {
 		panic(err)
 	}
-	c.eng = hybrid.NewEngineTiers(specs, stats)
+	c.eng = hybrid.NewEngine(specs, stats)
 
 	c.fastDir = hybrid.NewDirSets[fastFrame](g.sets, g.ways)
 	c.fastRep = hybrid.Replacer(hybrid.LRU{})

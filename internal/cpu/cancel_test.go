@@ -16,8 +16,8 @@ import (
 func TestRunCtxBackgroundIdentity(t *testing.T) {
 	cfg := smallConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	plain := cpu.NewRunner(cfg, w, baryonFactory).Run()
-	viaCtx, err := cpu.NewRunner(cfg, w, baryonFactory).RunCtx(context.Background())
+	plain := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
+	viaCtx, err := cpu.NewRunnerSource(cfg, w, baryonFactory).RunCtx(context.Background())
 	if err != nil {
 		t.Fatalf("RunCtx(Background) returned error: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestRunCtxCancelStopsEarly(t *testing.T) {
 	cfg := smallConfig()
 	cfg.AccessesPerCore = 2_000_000
 	w, _ := trace.ByName("505.mcf_r")
-	r := cpu.NewRunner(cfg, w, baryonFactory)
+	r := cpu.NewRunnerSource(cfg, w, baryonFactory)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)

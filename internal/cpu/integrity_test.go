@@ -24,7 +24,7 @@ func endToEndIntegrity(t *testing.T, cfg config.Config, factory ControllerFactor
 	if !ok {
 		t.Fatalf("workload %s missing", wname)
 	}
-	r := NewRunner(cfg, w, factory)
+	r := NewRunnerSource(cfg, w, factory)
 	res := r.Run()
 	if res.Cycles == 0 {
 		t.Fatal("no cycles")
@@ -88,23 +88,33 @@ func TestEndToEndIntegrityBaryonFlat(t *testing.T) {
 	endToEndIntegrity(t, cfg, factory, "520.omnetpp_r")
 }
 
+// mustTiers resolves cfg's device topology for the baselines' tiers
+// argument.
+func mustTiers(cfg config.Config) []hybrid.TierSpec {
+	specs, err := cfg.TierSpecs()
+	if err != nil {
+		panic(err)
+	}
+	return specs
+}
+
 func TestEndToEndIntegrityBaselines(t *testing.T) {
 	cfg := smallIntegrityConfig()
 	factories := map[string]ControllerFactory{
 		"simple": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, nil)
+			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, mustTiers(cfg))
 		},
 		"unison": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, nil)
+			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, mustTiers(cfg))
 		},
 		"dice": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, nil)
+			return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, mustTiers(cfg))
 		},
 		"hybrid2": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 			return baselines.NewHybrid2(cfg, store, stats)
 		},
 		"ospaging": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewOSPaging(cfg.FastBytes, store, stats, nil)
+			return baselines.NewOSPaging(cfg.FastBytes, store, stats, mustTiers(cfg))
 		},
 	}
 	for name, f := range factories {

@@ -21,9 +21,9 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
 
-	plain := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	plain := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 
-	traced := cpu.NewRunner(cfg, w, baryonFactory)
+	traced := cpu.NewRunnerSource(cfg, w, baryonFactory)
 	tr := obs.NewTracer(1, 0)
 	traced.SetTracer(tr)
 	res := traced.Run()
@@ -79,7 +79,7 @@ func TestResultLatencyHistograms(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 
 	demand, ok := res.Latency["hierarchy.lat.demand"]
 	if !ok {

@@ -308,15 +308,9 @@ type Runner struct {
 // ControllerFactory builds a controller over a canonical store.
 type ControllerFactory func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller
 
-// NewRunner wires a synthetic workload, a fresh canonical store filled with
-// the workload's value mix, the cache hierarchy and the controller produced
-// by factory.
-func NewRunner(cfg config.Config, w trace.Workload, factory ControllerFactory) *Runner {
-	return NewRunnerSource(cfg, w, factory)
-}
-
-// NewRunnerSource is NewRunner for an arbitrary trace source (synthetic
-// workloads or recorded replays, see trace.Source).
+// NewRunnerSource wires a trace source (a synthetic trace.Workload or a
+// recorded replay), a fresh canonical store filled with the source's value
+// mix, the cache hierarchy and the controller produced by factory.
 func NewRunnerSource(cfg config.Config, src trace.Source, factory ControllerFactory) *Runner {
 	stats := sim.NewStats()
 	mix := src.ValueMix()

@@ -31,7 +31,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	r := cpu.NewRunner(cfg, w, baryonFactory)
+	r := cpu.NewRunnerSource(cfg, w, baryonFactory)
 	res := r.Run()
 	if res.Cycles == 0 {
 		t.Fatal("no cycles elapsed")
@@ -58,7 +58,7 @@ func TestRunnerDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	w, _ := trace.ByName("520.omnetpp_r")
 	run := func() cpu.Result {
-		return cpu.NewRunner(cfg, w, baryonFactory).Run()
+		return cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 	}
 	a, b := run(), run()
 	if a.Cycles != b.Cycles || a.FastBytes != b.FastBytes || a.Instructions != b.Instructions {
@@ -75,7 +75,7 @@ func TestRunnerAllWorkloadsSmoke(t *testing.T) {
 	for _, w := range trace.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+			res := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 			if res.Cycles == 0 {
 				t.Fatal("no cycles")
 			}

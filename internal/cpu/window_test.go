@@ -18,7 +18,7 @@ func TestRunnerWarmupWindows(t *testing.T) {
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 
 	wantWarm := uint64(cfg.WarmupAccessesPerCore * cfg.Cores)
 	wantMeas := uint64(cfg.AccessesPerCore * cfg.Cores)
@@ -56,11 +56,11 @@ func TestRunnerWarmupWindows(t *testing.T) {
 // the measurement window equal to the whole run.
 func TestRunnerWarmupZeroMatchesColdStart(t *testing.T) {
 	w, _ := trace.ByName("520.omnetpp_r")
-	cold := cpu.NewRunner(smallConfig(), w, baryonFactory).Run()
+	cold := cpu.NewRunnerSource(smallConfig(), w, baryonFactory).Run()
 
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 0
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 
 	if res.Cycles != cold.Cycles || res.Instructions != cold.Instructions ||
 		res.FastServeRate != cold.FastServeRate ||
@@ -87,7 +87,7 @@ func TestRunnerEpochSeries(t *testing.T) {
 	cfg.WarmupAccessesPerCore = 250
 	cfg.EpochAccesses = 7000 // not a divisor of 2000*16: forces a tail epoch
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 
 	if len(res.Epochs) == 0 {
 		t.Fatal("no epochs collected")
@@ -126,7 +126,7 @@ func TestRunnerMeasureStartDelta(t *testing.T) {
 	cfg := smallConfig()
 	cfg.WarmupAccessesPerCore = 500
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(cfg, w, baryonFactory).Run()
+	res := cpu.NewRunnerSource(cfg, w, baryonFactory).Run()
 
 	d := res.Stats.Delta(res.MeasureStart)
 	if got := d.Get("hierarchy.demandLines"); got != res.Measured.Accesses {
@@ -150,7 +150,7 @@ func TestRunnerMeasureStartDelta(t *testing.T) {
 
 	// With warmup off, MeasureStart is the empty pre-run snapshot and the
 	// delta equals the cumulative registry.
-	cold := cpu.NewRunner(smallConfig(), w, baryonFactory).Run()
+	cold := cpu.NewRunnerSource(smallConfig(), w, baryonFactory).Run()
 	cd := cold.Stats.Delta(cold.MeasureStart)
 	for _, name := range cd.CounterNames() {
 		if cd.Get(name) != cold.Stats.Get(name) {
@@ -162,7 +162,7 @@ func TestRunnerMeasureStartDelta(t *testing.T) {
 // TestRunnerEpochsOffByDefault: no epoch collection unless configured.
 func TestRunnerEpochsOffByDefault(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
-	res := cpu.NewRunner(smallConfig(), w, baryonFactory).Run()
+	res := cpu.NewRunnerSource(smallConfig(), w, baryonFactory).Run()
 	if len(res.Epochs) != 0 {
 		t.Fatalf("epochs collected without EpochAccesses: %d", len(res.Epochs))
 	}

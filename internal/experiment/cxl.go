@@ -68,7 +68,7 @@ func CXLSweep(r Runner, cfg config.Config) ([]CXLRow, *Table) {
 		for _, d := range CXLDesigns {
 			c := cfg
 			c.Tiers = cxlSweepTiers(bw)
-			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: d})
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Spec: builtin(d)})
 		}
 	}
 	results := r.mustRun(pairs)
@@ -87,12 +87,12 @@ func CXLSweep(r Runner, cfg config.Config) ([]CXLRow, *Table) {
 	for i, res := range results {
 		p := pairs[i]
 		bw := p.Cfg.Tiers[2].CXL.LinkBytesPerCycle
-		if p.Design == DesignUnison && res.Cycles == 0 {
+		if p.Spec.Name == DesignUnison && res.Cycles == 0 {
 			panic("experiment: cxl baseline run produced zero cycles")
 		}
 		row := CXLRow{
 			Workload:      p.Workload.Name,
-			Design:        p.Design,
+			Design:        p.Spec.Name,
 			LinkBW:        bw,
 			Cycles:        res.Cycles,
 			FastServeRate: res.FastServeRate,

@@ -86,7 +86,7 @@ func TestCXLSweepGolden(t *testing.T) {
 }
 
 // TestTierSpecFilesEndToEnd exercises the -design-file path for three-tier
-// topologies: the two shipped DRAM+NVM+CXL spec files load, register and run
+// topologies: the two shipped DRAM+NVM+CXL spec files load and run
 // end to end, and the results carry a per-tier traffic breakdown with the
 // expander tier actually serving traffic.
 func TestTierSpecFilesEndToEnd(t *testing.T) {
@@ -101,7 +101,7 @@ func TestTierSpecFilesEndToEnd(t *testing.T) {
 		}
 		cfg := designGoldenConfig()
 		cfg.AccessesPerCore = 500
-		res, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: spec.Name})
+		res, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Spec: spec})
 		if err != nil {
 			t.Fatalf("%s: running %s: %v", file, spec.Name, err)
 		}

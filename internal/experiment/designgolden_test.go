@@ -55,7 +55,7 @@ func dumpDesignRun(buf *bytes.Buffer, cfg config.Config, workload, design string
 	if !ok {
 		panic("designgolden: unknown workload " + workload)
 	}
-	res := runOne(cfg, w, design)
+	res := runOne(cfg, w, builtin(design))
 	fmt.Fprintf(buf, "== design=%s mode=%s workload=%s\n", design, cfg.Mode, workload)
 	fmt.Fprintf(buf, "cycles=%d instructions=%d\n", res.Cycles, res.Instructions)
 	fmt.Fprintf(buf, "fastServeRate=%.6f bloatFactor=%.6f\n", res.FastServeRate, res.BloatFactor)

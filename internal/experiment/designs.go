@@ -11,9 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"baryon/internal/baselines"
 	"baryon/internal/config"
@@ -109,30 +108,19 @@ var builtinSpecs = []DesignSpec{
 	{Name: DesignDICECXL, Kind: KindDICE, Overrides: config.Overrides{Tiers: cxlTiers()}},
 }
 
-var registry = struct {
-	sync.RWMutex
-	specs map[string]DesignSpec
-	order []string
-}{specs: make(map[string]DesignSpec)}
-
-func init() {
-	for _, s := range builtinSpecs {
-		if err := Register(s); err != nil {
-			panic(err)
-		}
-	}
+// Kinds lists the controller kinds a DesignSpec can name.
+func Kinds() []string {
+	return []string{KindSimple, KindUnison, KindDICE, KindBaryon, KindHybrid2, KindOSPaging}
 }
 
-// Register adds a design to the registry. It rejects empty or duplicate
-// names, unknown kinds, and unknown replacement-policy names, so a bad
-// -design-file fails at load time rather than mid-run.
-func Register(spec DesignSpec) error {
+// checkSpec rejects a spec with no name, an unknown kind or an unknown
+// replacement-policy name — the checks that need no run configuration, so a
+// bad -design-file fails at load time rather than mid-run.
+func checkSpec(spec DesignSpec) error {
 	if spec.Name == "" {
 		return fmt.Errorf("experiment: design spec has no name")
 	}
-	switch spec.Kind {
-	case KindSimple, KindUnison, KindDICE, KindBaryon, KindHybrid2, KindOSPaging:
-	default:
+	if !slices.Contains(Kinds(), spec.Kind) {
 		return fmt.Errorf("experiment: design %q has unknown kind %q (want %s)",
 			spec.Name, spec.Kind, strings.Join(Kinds(), ", "))
 	}
@@ -140,61 +128,82 @@ func Register(spec DesignSpec) error {
 		return fmt.Errorf("experiment: design %q has unknown replacement policy %q",
 			spec.Name, spec.Policy.Replacement)
 	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.specs[spec.Name]; dup {
-		return fmt.Errorf("experiment: design %q already registered", spec.Name)
-	}
-	registry.specs[spec.Name] = spec
-	registry.order = append(registry.order, spec.Name)
 	return nil
 }
 
-// Kinds lists the controller kinds Register accepts.
-func Kinds() []string {
-	return []string{KindSimple, KindUnison, KindDICE, KindBaryon, KindHybrid2, KindOSPaging}
+// Lookup returns the built-in spec for a design name. The built-ins are
+// fixed; designs loaded from files travel as values alongside them (see
+// ResolveDesign).
+func Lookup(name string) (DesignSpec, bool) { return findSpec(builtinSpecs, name) }
+
+func findSpec(specs []DesignSpec, name string) (DesignSpec, bool) {
+	i := slices.IndexFunc(specs, func(s DesignSpec) bool { return s.Name == name })
+	if i < 0 {
+		return DesignSpec{}, false
+	}
+	return specs[i], true
 }
 
-// Designs lists every registered design name: the built-ins in declaration
-// order, then any loaded designs in registration order.
-func Designs() []string {
-	registry.RLock()
-	defer registry.RUnlock()
-	out := make([]string, len(registry.order))
-	copy(out, registry.order)
+// builtin returns the named built-in spec for the harnesses; a missing name
+// is a programming error.
+func builtin(name string) DesignSpec {
+	s, ok := Lookup(name)
+	if !ok {
+		panic("experiment: unknown design " + name)
+	}
+	return s
+}
+
+// Designs lists the design names a caller can run: the built-ins in
+// declaration order, then loaded in order.
+func Designs(loaded []DesignSpec) []string {
+	out := make([]string, 0, len(builtinSpecs)+len(loaded))
+	for _, s := range builtinSpecs {
+		out = append(out, s.Name)
+	}
+	for _, s := range loaded {
+		out = append(out, s.Name)
+	}
 	return out
 }
 
-// Lookup returns the registered spec for a design name.
-func Lookup(name string) (DesignSpec, bool) {
-	registry.RLock()
-	defer registry.RUnlock()
-	s, ok := registry.specs[name]
-	return s, ok
+// ResolveDesign turns a design name into its spec, searching the built-ins
+// and then loaded. It is how a command or request that names a design picks
+// its spec; everything downstream carries the spec by value.
+func ResolveDesign(name string, loaded []DesignSpec) (DesignSpec, error) {
+	if s, ok := Lookup(name); ok {
+		return s, nil
+	}
+	if s, ok := findSpec(loaded, name); ok {
+		return s, nil
+	}
+	return DesignSpec{}, UnknownDesignError(name, loaded)
 }
 
-// IsDesign reports whether name is a registered design, letting tools
-// validate user input up front instead of panicking mid-run.
-func IsDesign(name string) bool {
-	_, ok := Lookup(name)
-	return ok
+// AddDesign appends spec to loaded, rejecting a name already taken by a
+// built-in or by an earlier loaded spec.
+func AddDesign(loaded []DesignSpec, spec DesignSpec) ([]DesignSpec, error) {
+	_, isBuiltin := Lookup(spec.Name)
+	_, dup := findSpec(loaded, spec.Name)
+	if isBuiltin || dup {
+		return loaded, fmt.Errorf("experiment: design %q already defined", spec.Name)
+	}
+	return append(loaded, spec), nil
 }
 
-// UnknownDesignError formats the standard rejection for an unregistered
-// design name, listing every registered name (shared by the commands so the
-// error reads the same everywhere).
-func UnknownDesignError(name string) error {
-	known := Designs()
-	sorted := make([]string, len(known))
-	copy(sorted, known)
-	sort.Strings(sorted)
+// UnknownDesignError formats the standard rejection for a design name that
+// is neither built in nor in loaded, listing every known name (shared by
+// the commands so the error reads the same everywhere).
+func UnknownDesignError(name string, loaded []DesignSpec) error {
+	known := Designs(loaded)
+	slices.Sort(known)
 	return fmt.Errorf("unknown design %q; registered designs: %s",
-		name, strings.Join(sorted, ", "))
+		name, strings.Join(known, ", "))
 }
 
 // LoadSpecFile reads a DesignSpec from a JSON file (the -design-file
-// format) and registers it. It returns the spec so callers can run it by
-// name.
+// format) and checks its name, kind and policy. It has no side effects:
+// loading the same file twice yields the same spec twice.
 func LoadSpecFile(path string) (DesignSpec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -208,7 +217,7 @@ func LoadSpecFile(path string) (DesignSpec, error) {
 	}
 	spec := f.DesignSpec
 	spec.Overrides = f.Overrides.Overrides
-	if err := Register(spec); err != nil {
+	if err := checkSpec(spec); err != nil {
 		return DesignSpec{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return spec, nil
@@ -237,12 +246,15 @@ func SaveSpecFile(path string, spec DesignSpec) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ValidateSpec checks the parts of a spec that Register cannot see because
-// they depend on the run configuration: the overrides must apply cleanly to
-// the base config, and the policy knobs must be supported by the kind. The
-// Ctx runners call it before building a controller so a bad spec surfaces as
-// a per-pair error instead of a mid-run panic.
+// ValidateSpec checks a spec against a run configuration: its name, kind
+// and policy (as LoadSpecFile does), that the overrides apply cleanly to the
+// base config, and that the policy knobs are supported by the kind. RunPair
+// calls it before building a controller so a bad spec surfaces as a
+// per-pair error instead of a mid-run panic.
 func ValidateSpec(spec DesignSpec, cfg config.Config) error {
+	if err := checkSpec(spec); err != nil {
+		return err
+	}
 	if err := spec.Overrides.Apply(&cfg); err != nil {
 		return fmt.Errorf("experiment: design %q: %w", spec.Name, err)
 	}
@@ -260,7 +272,7 @@ func ValidateSpec(spec DesignSpec, cfg config.Config) error {
 // spec's config overrides, builds the kind's controller on the shared kit,
 // applies the policy knobs, and arms fault injection when the (overridden)
 // config asks for it. The panics below are programmer-error invariants —
-// Register and ValidateSpec reject every user-reachable bad spec first —
+// ValidateSpec rejects every user-reachable bad spec first —
 // and the harness's per-pair panic isolation contains them regardless.
 func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 	return func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
@@ -289,10 +301,8 @@ func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 	// The tier list reaches every kind: Baryon/Hybrid2 resolve it inside
 	// core.New from the config; the other baselines take it directly. An
-	// empty Tiers section yields the canonical two-tier list, whose specs
-	// the baselines' nil-default matches device-for-device — but resolving
-	// it here (rather than passing nil) keeps SlowMemory/DetailedDDR
-	// honoured uniformly across kinds.
+	// empty Tiers section yields the canonical two-tier list (DDR4 over the
+	// SlowMemory preset).
 	tiers, err := cfg.TierSpecs()
 	if err != nil {
 		panic("experiment: design " + spec.Name + ": " + err.Error())
@@ -326,13 +336,4 @@ func applyReplacement(spec DesignSpec, ctrl hybrid.Controller, seed uint64) {
 		panic("experiment: design " + spec.Name + ": kind " + spec.Kind + " has no replacement-policy knob")
 	}
 	s.SetReplacer(r)
-}
-
-// Factory returns the controller factory for a registered design name.
-func Factory(design string) cpu.ControllerFactory {
-	spec, ok := Lookup(design)
-	if !ok {
-		panic("experiment: unknown design " + design)
-	}
-	return FactorySpec(spec)
 }

@@ -13,7 +13,7 @@ import (
 
 // TestDesignSpecJSONRoundTrip pins the -design-file schema: a spec with
 // overrides and policy knobs survives save/load byte-for-byte at the struct
-// level, and loading registers the design.
+// level.
 func TestDesignSpecJSONRoundTrip(t *testing.T) {
 	spec := DesignSpec{
 		Name: "RoundTrip-Baryon",
@@ -38,26 +38,51 @@ func TestDesignSpecJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, spec) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, spec)
 	}
-	if !IsDesign(spec.Name) {
-		t.Fatalf("LoadSpecFile did not register %q", spec.Name)
+}
+
+// TestLoadSpecFileTwice pins that loading has no side effects: the same
+// design file loads again to the same spec.
+func TestLoadSpecFileTwice(t *testing.T) {
+	path := filepath.Join("testdata", "design_cxl_baryon.json")
+	first, err := LoadSpecFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := LoadSpecFile(path)
+	if err != nil {
+		t.Fatalf("second load: %v", err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second load differs:\n got %+v\nwant %+v", second, first)
 	}
 }
 
-// TestRegisterRejectsBadSpecs pins the load-time validation: duplicates,
-// unknown kinds and unknown policies are errors, not mid-run panics.
+// TestRegisterRejectsBadSpecs pins the load-time validation: unknown kinds,
+// unknown policies and empty names are errors, not mid-run panics, and a
+// loaded design may not reuse a built-in's or another loaded design's name.
 func TestRegisterRejectsBadSpecs(t *testing.T) {
-	if err := Register(DesignSpec{Name: DesignBaryon, Kind: KindBaryon}); err == nil {
-		t.Fatal("Register accepted a duplicate of a built-in design")
+	for _, spec := range []DesignSpec{
+		{Name: "X-NoKind", Kind: "alien"},
+		{Name: "X-NoPolicy", Kind: KindSimple, Policy: PolicySpec{Replacement: "clock"}},
+		{Kind: KindSimple},
+	} {
+		if err := checkSpec(spec); err == nil {
+			t.Errorf("checkSpec accepted %+v", spec)
+		}
+		if err := ValidateSpec(spec, parallelConfig()); err == nil {
+			t.Errorf("ValidateSpec accepted %+v", spec)
+		}
 	}
-	if err := Register(DesignSpec{Name: "X-NoKind", Kind: "alien"}); err == nil {
-		t.Fatal("Register accepted an unknown kind")
+	if _, err := AddDesign(nil, DesignSpec{Name: DesignBaryon, Kind: KindBaryon}); err == nil {
+		t.Fatal("AddDesign accepted a duplicate of a built-in design")
 	}
-	if err := Register(DesignSpec{Name: "X-NoPolicy", Kind: KindSimple,
-		Policy: PolicySpec{Replacement: "clock"}}); err == nil {
-		t.Fatal("Register accepted an unknown replacement policy")
+	custom := DesignSpec{Name: "X-Custom", Kind: KindSimple}
+	loaded, err := AddDesign(nil, custom)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Register(DesignSpec{Kind: KindSimple}); err == nil {
-		t.Fatal("Register accepted an empty name")
+	if _, err := AddDesign(loaded, custom); err == nil {
+		t.Fatal("AddDesign accepted a duplicate of a loaded design")
 	}
 }
 
@@ -81,39 +106,45 @@ func TestLoadSpecFileRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestUnknownDesignError pins that the rejection lists the registered
-// names, which is what both commands print.
+// TestUnknownDesignError pins that the rejection lists the known names —
+// the built-ins plus the caller's loaded designs — which is what both
+// commands print.
 func TestUnknownDesignError(t *testing.T) {
-	msg := UnknownDesignError("Barion").Error()
+	loaded := []DesignSpec{{Name: "X-Loaded", Kind: KindSimple}}
+	_, err := ResolveDesign("Barion", loaded)
+	if err == nil {
+		t.Fatal("ResolveDesign accepted an unknown name")
+	}
+	msg := err.Error()
 	if !strings.Contains(msg, `"Barion"`) {
 		t.Fatalf("error does not echo the bad name: %s", msg)
 	}
-	for _, d := range []string{DesignBaryon, DesignSimple, DesignOSPaging} {
+	for _, d := range []string{DesignBaryon, DesignSimple, DesignOSPaging, "X-Loaded"} {
 		if !strings.Contains(msg, d) {
 			t.Fatalf("error does not list %s: %s", d, msg)
 		}
 	}
 }
 
-// TestBuiltinSpecsMatchNames pins that every historical design name is
-// registered and resolvable through the registry.
+// TestBuiltinSpecsMatchNames pins that every historical design name is a
+// built-in, listed in declaration order and resolvable through Lookup.
 func TestBuiltinSpecsMatchNames(t *testing.T) {
 	want := []string{DesignSimple, DesignUnison, DesignDICE, DesignBaryon,
 		DesignBaryon64B, DesignBaryonFA, DesignHybrid2, DesignOSPaging}
-	got := Designs()
+	got := Designs(nil)
 	for i, name := range want {
 		if got[i] != name {
 			t.Fatalf("Designs()[%d] = %q, want %q (full: %v)", i, got[i], name, got)
 		}
 		if _, ok := Lookup(name); !ok {
-			t.Fatalf("built-in %q not registered", name)
+			t.Fatalf("built-in %q not found", name)
 		}
 	}
 }
 
-// TestCustomSpecRunsEndToEnd registers a custom design — a Baryon variant
-// with commit-all and a Simple variant with random replacement — and runs
-// both through the standard harness, the same path the commands use.
+// TestCustomSpecRunsEndToEnd runs custom designs — a Baryon variant with
+// commit-all and a Simple variant with random replacement — through the
+// standard harness, the same path the commands use.
 func TestCustomSpecRunsEndToEnd(t *testing.T) {
 	specs := []DesignSpec{
 		{
@@ -132,17 +163,14 @@ func TestCustomSpecRunsEndToEnd(t *testing.T) {
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
 	for _, spec := range specs {
-		if err := Register(spec); err != nil {
-			t.Fatal(err)
-		}
-		res := runOne(cfg, w, spec.Name)
+		res := runOne(cfg, w, spec)
 		if res.Cycles == 0 || res.Instructions == 0 {
 			t.Fatalf("%s: empty result %+v", spec.Name, res)
 		}
 	}
 	// The commit-all override must actually reach the controller: with
 	// CommitAll set, Baryon never evicts a stage frame to slow memory.
-	res := runOne(cfg, w, "Custom-CommitAll")
+	res := runOne(cfg, w, specs[0])
 	if res.Stats.Get("baryon.evictsToSlow") != 0 {
 		t.Fatalf("CommitAll design evicted %d frames to slow memory",
 			res.Stats.Get("baryon.evictsToSlow"))
@@ -155,7 +183,7 @@ func TestSpecOverridesDoNotLeak(t *testing.T) {
 	cfg := parallelConfig()
 	before := cfg
 	w, _ := trace.ByName("505.mcf_r")
-	_ = runOne(cfg, w, DesignBaryon64B)
+	_ = runOne(cfg, w, builtin(DesignBaryon64B))
 	if !reflect.DeepEqual(cfg, before) {
 		t.Fatalf("RunPair mutated the caller's config:\n got %+v\nwant %+v", cfg, before)
 	}

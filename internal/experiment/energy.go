@@ -45,10 +45,10 @@ func Energy(r Runner, cfg config.Config) (EnergyResult, *Table) {
 	pairs := make([]Pair, 0, len(workloads)*perW)
 	for _, w := range workloads {
 		for _, d := range cacheDesigns {
-			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
+			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Spec: builtin(d)})
 		}
 		for _, d := range flatDesigns {
-			pairs = append(pairs, Pair{Cfg: fcfg, Workload: w, Design: d})
+			pairs = append(pairs, Pair{Cfg: fcfg, Workload: w, Spec: builtin(d)})
 		}
 	}
 	results := r.mustRun(pairs)

@@ -18,8 +18,8 @@ func quickConfig() config.Config {
 }
 
 // runOne runs one pair that must succeed and panics otherwise.
-func runOne(cfg config.Config, w trace.Workload, design string) cpu.Result {
-	res, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: design})
+func runOne(cfg config.Config, w trace.Workload, spec DesignSpec) cpu.Result {
+	res, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Spec: spec})
 	if err != nil {
 		panic(err)
 	}
@@ -31,7 +31,7 @@ func TestFactoryAllDesigns(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
 	for _, d := range []string{DesignSimple, DesignUnison, DesignDICE,
 		DesignBaryon, DesignBaryon64B, DesignBaryonFA, DesignHybrid2} {
-		res := runOne(cfg, w, d)
+		res := runOne(cfg, w, builtin(d))
 		if res.Cycles == 0 {
 			t.Fatalf("%s: no cycles", d)
 		}
@@ -41,13 +41,15 @@ func TestFactoryAllDesigns(t *testing.T) {
 	}
 }
 
+// TestFactoryUnknownPanics pins that a harness naming a design that is not
+// built in fails loudly instead of running a zero spec.
 func TestFactoryUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for unknown design")
 		}
 	}()
-	Factory("nope")
+	builtin("nope")
 }
 
 func TestTableIRenders(t *testing.T) {

@@ -82,8 +82,8 @@ func CompressorComparison(r Runner, cfg config.Config) ([]CPackRow, *Table) {
 	pairs := make([]Pair, 0, 2*len(workloads))
 	for _, w := range workloads {
 		pairs = append(pairs,
-			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
-			Pair{Cfg: c2, Workload: w, Design: DesignBaryon})
+			Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignBaryon)},
+			Pair{Cfg: c2, Workload: w, Spec: builtin(DesignBaryon)})
 	}
 	results := r.mustRun(pairs)
 	for wi, w := range workloads {
@@ -123,7 +123,7 @@ func RemapCacheSweep(r Runner, cfg config.Config) ([]RemapCacheRow, *Table) {
 		for _, sets := range setPoints {
 			c := cfg
 			c.RemapCacheSets = sets
-			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Spec: builtin(DesignBaryon)})
 		}
 	}
 	results := r.mustRun(pairs)

@@ -56,7 +56,7 @@ func Fig12(r Runner, cfg config.Config) ([]Fig12Row, *Table) {
 		for _, v := range variants {
 			c := cfg
 			v.Mut(&c)
-			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Spec: builtin(DesignBaryon)})
 		}
 	}
 	results := r.mustRun(pairs)

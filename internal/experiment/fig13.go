@@ -27,7 +27,7 @@ func sweep(r Runner, cfg config.Config, points []string, mut func(*config.Config
 		for _, p := range points {
 			c := cfg
 			mut(&c, p)
-			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Spec: builtin(DesignBaryon)})
 		}
 	}
 	results := r.mustRun(pairs)

@@ -46,7 +46,7 @@ func Fig3a(r Runner, cfg config.Config) ([]Fig3aRow, *Table) {
 	workloads := trace.SPEC()
 	pairs := make([]Pair, len(workloads))
 	for i, w := range workloads {
-		pairs[i] = Pair{Cfg: cfg, Workload: w, Design: DesignBaryon}
+		pairs[i] = Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignBaryon)}
 	}
 	rows := make([]Fig3aRow, len(workloads))
 	for i, bd := range baryonBreakdowns(r, pairs) {
@@ -89,7 +89,7 @@ func Fig3b(r Runner, cfg config.Config) ([]Fig3bRow, *Table) {
 		for _, sz := range sizes {
 			c := cfg
 			c.StageBytes = sz
-			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: DesignBaryon})
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Spec: builtin(DesignBaryon)})
 		}
 	}
 	rows := make([]Fig3bRow, len(pairs))

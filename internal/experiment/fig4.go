@@ -30,7 +30,7 @@ func Fig4(r Runner, cfg config.Config) (Fig4Result, *Table) {
 	pairs := make([]Pair, len(workloads))
 	samplers := make([]*core.StagePhaseSampler, len(workloads))
 	for i, w := range workloads {
-		pairs[i] = Pair{Cfg: cfg, Workload: w, Design: DesignBaryon}
+		pairs[i] = Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignBaryon)}
 		samplers[i] = core.NewStagePhaseSampler()
 	}
 	r.mustEach(pairs, func(ctx context.Context, i int) error {

@@ -11,7 +11,6 @@ import (
 // every successful pair is observed exactly once, with its own result, and
 // a pair that fails (here, a panicking controller) is never observed.
 func TestRunnerObserve(t *testing.T) {
-	registerPoisonedDesign(t, "Poisoned-Observe")
 	cfg := parallelConfig()
 	cfg.AccessesPerCore = 400
 	w, _ := trace.ByName("505.mcf_r")
@@ -19,8 +18,8 @@ func TestRunnerObserve(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg.Seed = seed
 		pairs = append(pairs,
-			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
-			Pair{Cfg: cfg, Workload: w, Design: "Poisoned-Observe"})
+			Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignBaryon)},
+			Pair{Cfg: cfg, Workload: w, Spec: poisonedSpec("Poisoned-Observe")})
 	}
 	type key struct {
 		seed   uint64
@@ -32,13 +31,13 @@ func TestRunnerObserve(t *testing.T) {
 	r := Runner{Workers: 4, Observe: func(p Pair, pr PairResult) {
 		mu.Lock()
 		defer mu.Unlock()
-		k := key{p.Cfg.Seed, p.Design}
+		k := key{p.Cfg.Seed, p.Spec.Name}
 		seen[k]++
 		cycles[k] = pr.Result.Cycles
 	}}
 	out := r.Run(pairs)
 	for i, p := range pairs {
-		k := key{p.Cfg.Seed, p.Design}
+		k := key{p.Cfg.Seed, p.Spec.Name}
 		if out[i].Err != nil {
 			if seen[k] != 0 {
 				t.Errorf("failed pair %v observed %d times", k, seen[k])

@@ -120,7 +120,7 @@ func (r Runner) Run(pairs []Pair) []PairResult {
 // context.Canceled with errors.Is.
 func mustPass(p Pair, err error) {
 	if err != nil {
-		panic(fmt.Errorf("experiment: pair %s/%s failed: %w", p.Workload.Name, p.Design, err))
+		panic(fmt.Errorf("experiment: pair %s/%s failed: %w", p.Workload.Name, p.Spec.Name, err))
 	}
 }
 
@@ -145,13 +145,13 @@ func (r Runner) mustEach(pairs []Pair, job func(ctx context.Context, i int) erro
 }
 
 // runGrid runs the full workloads x designs grid under cfg and returns
-// results indexed as [workload][design], matching the input slices. Like
-// mustRun it is strict.
+// results indexed as [workload][design], matching the input slices. The
+// designs are built-in names. Like mustRun it is strict.
 func (r Runner) runGrid(cfg config.Config, workloads []trace.Workload, designs []string) [][]cpu.Result {
 	pairs := make([]Pair, 0, len(workloads)*len(designs))
 	for _, w := range workloads {
 		for _, d := range designs {
-			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
+			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Spec: builtin(d)})
 		}
 	}
 	flat := r.mustRun(pairs)
@@ -176,11 +176,11 @@ type RunObs struct {
 }
 
 // Pair is one independent simulation job: a full configuration (so sweeps
-// can mutate per-job copies), a workload and a design name.
+// can mutate per-job copies), a workload and the design's spec.
 type Pair struct {
 	Cfg      config.Config
 	Workload trace.Workload
-	Design   string
+	Spec     DesignSpec
 	// Source optionally replaces the workload's synthetic generator with a
 	// recorded access stream (e.g. cmd/baryonsim -trace-file); Workload
 	// still names the run and supplies the value mix.
@@ -200,10 +200,10 @@ type PairResult struct {
 
 // RunPair executes one fully-described pair — including its optional trace
 // source and live instrumentation — with error reporting, cooperative
-// cancellation and a panic boundary. An unknown design or an invalid spec
-// returns an error; a panicking controller or workload returns an error
-// naming the pair, with the stack; a cancelled ctx stops the replay and
-// returns the partial metrics with ctx's error.
+// cancellation and a panic boundary. An invalid spec returns an error; a
+// panicking controller or workload returns an error naming the pair, with
+// the stack; a cancelled ctx stops the replay and returns the partial
+// metrics with ctx's error.
 func RunPair(ctx context.Context, p Pair) (cpu.Result, error) {
 	return runPair(ctx, p, nil)
 }
@@ -215,25 +215,20 @@ func runPair(ctx context.Context, p Pair, before func(*cpu.Runner)) (res cpu.Res
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("experiment: %s/%s panicked: %v\n%s",
-				p.Workload.Name, p.Design, rec, debug.Stack())
+				p.Workload.Name, p.Spec.Name, rec, debug.Stack())
 		}
 	}()
-	spec, ok := Lookup(p.Design)
-	if !ok {
-		return cpu.Result{}, UnknownDesignError(p.Design)
-	}
-	if err := ValidateSpec(spec, p.Cfg); err != nil {
+	if err := ValidateSpec(p.Spec, p.Cfg); err != nil {
 		return cpu.Result{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return cpu.Result{}, err
 	}
-	var r *cpu.Runner
+	src := trace.Source(p.Workload)
 	if p.Source != nil {
-		r = cpu.NewRunnerSource(p.Cfg, p.Source, FactorySpec(spec))
-	} else {
-		r = cpu.NewRunner(p.Cfg, p.Workload, FactorySpec(spec))
+		src = p.Source
 	}
+	r := cpu.NewRunnerSource(p.Cfg, src, FactorySpec(p.Spec))
 	if o := p.Obs; o != nil {
 		if o.Tracer != nil {
 			r.SetTracer(o.Tracer)
@@ -246,6 +241,6 @@ func runPair(ctx context.Context, p Pair, before func(*cpu.Runner)) (res cpu.Res
 		before(r)
 	}
 	res, err = r.RunCtx(ctx)
-	res.Design = p.Design
+	res.Design = p.Spec.Name
 	return res, err
 }

@@ -23,7 +23,7 @@ func TestParallelismClamp(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
 	cfg := parallelConfig()
 	cfg.AccessesPerCore = 200
-	pairs := []Pair{{Cfg: cfg, Workload: w, Design: DesignSimple}, {Cfg: cfg, Workload: w, Design: DesignBaryon}}
+	pairs := []Pair{{Cfg: cfg, Workload: w, Spec: builtin(DesignSimple)}, {Cfg: cfg, Workload: w, Spec: builtin(DesignBaryon)}}
 	for _, n := range []int{-3, 0, 1, 7} {
 		for i, pr := range (Runner{Workers: n}).Run(pairs) {
 			if pr.Err != nil || pr.Result.Cycles == 0 {
@@ -43,7 +43,7 @@ func TestRunPairsDeterministic(t *testing.T) {
 	var pairs []Pair
 	for _, w := range workloads {
 		for _, d := range designs {
-			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: d})
+			pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Spec: builtin(d)})
 		}
 	}
 

@@ -19,8 +19,8 @@ func TestRunPairsRegistriesNotShared(t *testing.T) {
 	pairs := make([]Pair, 0, 8)
 	for i := 0; i < 4; i++ {
 		pairs = append(pairs,
-			Pair{Cfg: cfg, Workload: w, Design: DesignBaryon},
-			Pair{Cfg: cfg, Workload: w, Design: DesignDICE})
+			Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignBaryon)},
+			Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignDICE)})
 	}
 	results := Runner{}.mustRun(pairs)
 	if len(results) != len(pairs) {

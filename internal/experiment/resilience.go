@@ -51,7 +51,7 @@ func Resilience(r Runner, cfg config.Config) ([]ResilienceRow, *Table) {
 			c := cfg
 			c.Fault.Slow.BER = ber
 			c.Fault.ECCCorrectBits = 2
-			pairs = append(pairs, Pair{Cfg: c, Workload: w, Design: d})
+			pairs = append(pairs, Pair{Cfg: c, Workload: w, Spec: builtin(d)})
 		}
 	}
 	results := r.mustRun(pairs)
@@ -78,7 +78,7 @@ func Resilience(r Runner, cfg config.Config) ([]ResilienceRow, *Table) {
 		}
 		row := ResilienceRow{
 			Workload:      p.Workload.Name,
-			Design:        p.Design,
+			Design:        p.Spec.Name,
 			BER:           p.Cfg.Fault.Slow.BER,
 			CleanServe:    clean,
 			Corrected:     corrected,
@@ -88,7 +88,7 @@ func Resilience(r Runner, cfg config.Config) ([]ResilienceRow, *Table) {
 			P99:           res.Measured.MemLat.P99,
 		}
 		rows = append(rows, row)
-		t.AddRow(p.Design, fmt.Sprintf("%.0e", row.BER),
+		t.AddRow(p.Spec.Name, fmt.Sprintf("%.0e", row.BER),
 			fmt.Sprintf("%.6f", row.CleanServe),
 			strconv.FormatUint(row.Corrected, 10),
 			strconv.FormatUint(row.Uncorrectable, 10),

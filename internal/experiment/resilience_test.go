@@ -29,8 +29,8 @@ func TestFaultOffByteIdentity(t *testing.T) {
 		t.Fatal("tuning-only fault config reports enabled")
 	}
 	for _, design := range []string{DesignBaryon, DesignUnison} {
-		a := runOne(base, w, design)
-		b := runOne(tuned, w, design)
+		a := runOne(base, w, builtin(design))
+		b := runOne(tuned, w, builtin(design))
 		if a.Stats.String() != b.Stats.String() {
 			t.Fatalf("%s: disabled fault config changed the run:\n%s\nvs\n%s",
 				design, a.Stats.String(), b.Stats.String())
@@ -48,7 +48,7 @@ func TestFaultSeedDeterminism(t *testing.T) {
 		cfg.Fault.Slow.BER = 1e-4
 		cfg.Fault.ECCCorrectBits = 2
 		cfg.Fault.Seed = faultSeed
-		res := runOne(cfg, w, DesignBaryon)
+		res := runOne(cfg, w, builtin(DesignBaryon))
 		return res.Stats.String()
 	}
 	a1, a2, b := run(7), run(7), run(8)

@@ -11,36 +11,27 @@ import (
 	"baryon/internal/trace"
 )
 
-// registerPoisonedDesign registers a design that passes every load-time and
-// spec-level validation but panics inside the controller factory (BlockBytes
-// 0 divides by zero in the geometry math) — the shape of bug panic isolation
-// exists for. Each test registers its own name; the registry is global, so
-// a repeated run (-count) reuses the registration.
-func registerPoisonedDesign(t *testing.T, name string) {
-	t.Helper()
-	if _, ok := Lookup(name); ok {
-		return
-	}
-	err := Register(DesignSpec{
+// poisonedSpec returns a design that passes every load-time and spec-level
+// validation but panics inside the controller factory (BlockBytes 0 divides
+// by zero in the geometry math) — the shape of bug panic isolation exists
+// for.
+func poisonedSpec(name string) DesignSpec {
+	return DesignSpec{
 		Name:      name,
 		Kind:      KindBaryon,
 		Overrides: config.Overrides{BlockBytes: config.Ptr[uint64](0)},
-	})
-	if err != nil {
-		t.Fatalf("registering poisoned design: %v", err)
 	}
 }
 
 // TestPanicIsolation runs a grid with one poisoned pair and checks that the
 // panic is contained to its slot while every other pair completes.
 func TestPanicIsolation(t *testing.T) {
-	registerPoisonedDesign(t, "Poisoned-Isolation")
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
 	pairs := []Pair{
-		{Cfg: cfg, Workload: w, Design: DesignSimple},
-		{Cfg: cfg, Workload: w, Design: "Poisoned-Isolation"},
-		{Cfg: cfg, Workload: w, Design: DesignBaryon},
+		{Cfg: cfg, Workload: w, Spec: builtin(DesignSimple)},
+		{Cfg: cfg, Workload: w, Spec: poisonedSpec("Poisoned-Isolation")},
+		{Cfg: cfg, Workload: w, Spec: builtin(DesignBaryon)},
 	}
 	out := Runner{}.Run(pairs)
 	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "panicked") {
@@ -60,30 +51,29 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestRunOneCtxErrors pins the error (not panic) contract of the validated
+// TestRunPairErrors pins the error (not panic) contract of the validated
 // single-pair entry point, RunPair.
-func TestRunOneCtxErrors(t *testing.T) {
+func TestRunPairErrors(t *testing.T) {
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
-	if _, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "No-Such-Design"}); err == nil {
-		t.Fatal("unknown design did not error")
+	if _, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w,
+		Spec: DesignSpec{Name: "No-Such-Kind", Kind: "alien"}}); err == nil {
+		t.Fatal("unknown kind did not error")
 	}
 	// A replacement knob on a kind without one is a spec-level error.
-	if err := Register(DesignSpec{
+	badKnob := DesignSpec{
 		Name:   "BadKnob-Baryon",
 		Kind:   KindBaryon,
 		Policy: PolicySpec{Replacement: "lru"},
-	}); err != nil {
-		t.Fatalf("register: %v", err)
 	}
-	if _, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Design: "BadKnob-Baryon"}); err == nil ||
+	if _, err := RunPair(context.Background(), Pair{Cfg: cfg, Workload: w, Spec: badKnob}); err == nil ||
 		!strings.Contains(err.Error(), "replacement-policy") {
 		t.Fatalf("bad knob error = %v, want replacement-policy error", err)
 	}
 	// A pre-cancelled context refuses to run at all.
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPair(done, Pair{Cfg: cfg, Workload: w, Design: DesignSimple}); !errors.Is(err, context.Canceled) {
+	if _, err := RunPair(done, Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignSimple)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run error = %v, want context.Canceled", err)
 	}
 }
@@ -97,7 +87,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	w, _ := trace.ByName("505.mcf_r")
 	var pairs []Pair
 	for i := 0; i < 8; i++ {
-		pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Design: DesignSimple})
+		pairs = append(pairs, Pair{Cfg: cfg, Workload: w, Spec: builtin(DesignSimple)})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -123,7 +113,6 @@ func TestCancellationMidSweep(t *testing.T) {
 // TestLegacyRunPairsStrict pins the harnesses' strict contract: per-pair
 // errors escalate to a panic rather than being silently dropped.
 func TestLegacyRunPairsStrict(t *testing.T) {
-	registerPoisonedDesign(t, "Poisoned-Legacy")
 	cfg := parallelConfig()
 	w, _ := trace.ByName("505.mcf_r")
 	defer func() {
@@ -131,7 +120,7 @@ func TestLegacyRunPairsStrict(t *testing.T) {
 			t.Fatal("mustRun with a poisoned pair did not panic")
 		}
 	}()
-	Runner{}.mustRun([]Pair{{Cfg: cfg, Workload: w, Design: "Poisoned-Legacy"}})
+	Runner{}.mustRun([]Pair{{Cfg: cfg, Workload: w, Spec: poisonedSpec("Poisoned-Legacy")}})
 }
 
 // TestBreakdownHarnessesCancelled pins that the harnesses which read

@@ -79,35 +79,12 @@ type Engine struct {
 	latRetry     map[*mem.Device]*sim.Histogram
 }
 
-// NewEngine builds a classic two-tier engine, registering device counters on
-// stats (fast first, then slow, matching every controller's historical
-// registration order). It is NewEngineTiers with a two-entry list.
-func NewEngine(fastCfg, slowCfg mem.Config, stats *sim.Stats) *Engine {
-	return NewEngineTiers([]TierSpec{{Cfg: fastCfg}, {Cfg: slowCfg}}, stats)
-}
-
-// DefaultTierSpecs returns the classic Table I two-tier topology (DDR4 over
-// NVM) every baseline historically hard-coded.
-func DefaultTierSpecs() []TierSpec {
-	return []TierSpec{{Cfg: mem.DDR4Config()}, {Cfg: mem.NVMConfig()}}
-}
-
-// NewEngineFrom builds the engine over tiers, falling back to
-// DefaultTierSpecs for an empty list — the constructor baselines use so a
-// nil tier argument keeps their historical devices.
-func NewEngineFrom(tiers []TierSpec, stats *sim.Stats) *Engine {
-	if len(tiers) == 0 {
-		tiers = DefaultTierSpecs()
-	}
-	return NewEngineTiers(tiers, stats)
-}
-
-// NewEngineTiers builds the engine over an ordered tier list. Devices are
-// constructed (and their counters registered) in tier order. At least two
-// tiers are required; intermediate far tiers (1..n-2) must declare a Bytes
-// window. Both are programming errors at this layer — config.TierSpecs
+// NewEngine builds the engine over an ordered tier list (config.TierSpecs
+// resolves one from a configuration). Devices are constructed (and their
+// counters registered) in tier order. At least two tiers are required;
+// intermediate far tiers (1..n-2) must declare a Bytes window. Both are programming errors at this layer — config.TierSpecs
 // validates user input before it gets here.
-func NewEngineTiers(specs []TierSpec, stats *sim.Stats) *Engine {
+func NewEngine(specs []TierSpec, stats *sim.Stats) *Engine {
 	if len(specs) < 2 {
 		panic(fmt.Sprintf("hybrid: engine needs at least 2 tiers, got %d", len(specs)))
 	}

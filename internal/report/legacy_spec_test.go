@@ -55,7 +55,7 @@ func TestLegacyCompressWorkersSpec(t *testing.T) {
 	}
 
 	w, _ := trace.ByName("505.mcf_r")
-	res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: spec.Name})
+	res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Spec: spec})
 	if err != nil {
 		t.Fatalf("running %s: %v", spec.Name, err)
 	}

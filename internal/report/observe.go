@@ -19,12 +19,7 @@ func ObservePairs(dir string, errw io.Writer) (func(experiment.Pair, experiment.
 		return nil, err
 	}
 	return func(p experiment.Pair, pr experiment.PairResult) {
-		spec, ok := experiment.Lookup(p.Design)
-		if !ok {
-			fmt.Fprintf(errw, "report: design %q not registered, no bundle written\n", p.Design)
-			return
-		}
-		key, err := Key(spec, p.Cfg, p.Workload.Name)
+		key, err := Key(p.Spec, p.Cfg, p.Workload.Name)
 		if err != nil {
 			fmt.Fprintf(errw, "report: %v\n", err)
 			return

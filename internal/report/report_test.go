@@ -31,7 +31,7 @@ func buildBundle(t *testing.T, cfg config.Config, workload, design string) Bundl
 	if !ok {
 		t.Fatalf("unknown design %q", design)
 	}
-	res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Design: design})
+	res, err := experiment.RunPair(context.Background(), experiment.Pair{Cfg: cfg, Workload: w, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +204,11 @@ func TestObservePairs(t *testing.T) {
 
 	cfg := quickConfig()
 	w, _ := trace.ByName("505.mcf_r")
+	simple, _ := experiment.Lookup(experiment.DesignSimple)
+	baryon, _ := experiment.Lookup(experiment.DesignBaryon)
 	pairs := []experiment.Pair{
-		{Cfg: cfg, Workload: w, Design: "Simple"},
-		{Cfg: cfg, Workload: w, Design: "Baryon"},
+		{Cfg: cfg, Workload: w, Spec: simple},
+		{Cfg: cfg, Workload: w, Spec: baryon},
 	}
 	for _, pr := range (experiment.Runner{Observe: observe}).Run(pairs) {
 		if pr.Err != nil {

@@ -37,7 +37,7 @@ type Flags struct {
 	Parallel  int
 
 	// Specs are the designs loaded from -design-file/-design-files by
-	// Setup, already registered and runnable by name.
+	// Setup, in flag order; no name repeats a built-in or another file's.
 	Specs []experiment.DesignSpec
 
 	which       FlagOpt
@@ -73,18 +73,21 @@ func RegisterFlags(fs *flag.FlagSet, which FlagOpt, timeoutUsage string) *Flags 
 // Setup applies the parsed flags to a command lifecycle and returns the
 // command's experiment.Runner: ctx wrapped in the -timeout deadline, the
 // -parallel worker count and, with -bundle-dir, an Observe func that writes
-// one report bundle per successful run. It also loads and registers every
-// -design-file(s) spec (exposed as Specs). The returned cleanup cancels the
-// deadline; it is safe to skip on process exit.
+// one report bundle per successful run. It also loads every -design-file(s)
+// spec into Specs. The returned cleanup cancels the deadline; it is safe to
+// skip on process exit.
 func (f *Flags) Setup(ctx context.Context, errw io.Writer) (experiment.Runner, func(), error) {
 	r := experiment.Runner{Ctx: ctx, Workers: f.Parallel}
 	if f.designFiles != "" {
 		for _, path := range strings.Split(f.designFiles, ",") {
-			spec, err := experiment.LoadSpecFile(strings.TrimSpace(path))
+			path = strings.TrimSpace(path)
+			spec, err := experiment.LoadSpecFile(path)
 			if err != nil {
 				return r, func() {}, fmt.Errorf("loading design file: %w", err)
 			}
-			f.Specs = append(f.Specs, spec)
+			if f.Specs, err = experiment.AddDesign(f.Specs, spec); err != nil {
+				return r, func() {}, fmt.Errorf("loading design file: %s: %w", path, err)
+			}
 		}
 	}
 	if f.BundleDir != "" {

@@ -29,7 +29,7 @@ import (
 //	POST /api/v1/jobs         submit a job asynchronously
 //	GET  /api/v1/jobs/{hash}  job status (live progress while running)
 //	GET  /api/v1/jobs/{hash}/result  the completed job's bundle
-//	GET  /api/v1/designs      registered design names
+//	GET  /api/v1/designs      design names: built-ins, then Options.Designs
 //	GET  /api/v1/workloads    workload names
 //	GET  /metrics             cache/queue gauges (OpenMetrics)
 //	GET  /healthz             liveness (503 while draining)
@@ -204,7 +204,7 @@ func NewHandlerOpts(s *Service, opts HandlerOptions) http.Handler {
 		w.Write(data)
 	})
 	mux.HandleFunc("GET /api/v1/designs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, experiment.Designs())
+		writeJSON(w, http.StatusOK, experiment.Designs(s.designs))
 	})
 	mux.HandleFunc("GET /api/v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		names := []string{}

@@ -25,7 +25,7 @@ import (
 	"baryon/internal/trace"
 )
 
-// Job is one simulation request: a registered design, a named workload, the
+// Job is one simulation request: a design name, a named workload, the
 // seed and the run-shape knobs. It is the wire schema of cmd/baryonsimd's
 // submit endpoints. Anything beyond the run shape — device topologies,
 // compression knobs, fault injection — belongs in the design spec, which the
@@ -45,7 +45,7 @@ type Job struct {
 	Epoch int `json:"epoch,omitempty"`
 }
 
-// Resolved is a validated, canonicalized job: the registered spec, the
+// Resolved is a validated, canonicalized job: the design's spec, the
 // workload, the effective configuration, and the content-address (the
 // canonical spec hash) identical requests share.
 type Resolved struct {
@@ -57,18 +57,18 @@ type Resolved struct {
 	Hash string
 }
 
-// resolve validates j against the design/workload registries and base, and
-// computes its content-address. Two invocations that reach the same
-// effective run through different spellings (e.g. an explicit access budget
-// equal to the default) resolve to the same hash, because the key records
-// effective post-override values.
-func (j Job) resolve(base config.Config) (Resolved, error) {
+// resolve validates j against the built-in designs plus designs, the
+// workload registry and base, and computes its content-address. Two
+// invocations that reach the same effective run through different spellings
+// (e.g. an explicit access budget equal to the default) resolve to the same
+// hash, because the key records effective post-override values.
+func (j Job) resolve(base config.Config, designs []experiment.DesignSpec) (Resolved, error) {
 	if j.Design == "" {
 		return Resolved{}, fmt.Errorf("service: job has no design")
 	}
-	spec, ok := experiment.Lookup(j.Design)
-	if !ok {
-		return Resolved{}, experiment.UnknownDesignError(j.Design)
+	spec, err := experiment.ResolveDesign(j.Design, designs)
+	if err != nil {
+		return Resolved{}, err
 	}
 	if j.Workload == "" {
 		return Resolved{}, fmt.Errorf("service: job has no workload")

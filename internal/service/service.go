@@ -52,6 +52,10 @@ type Options struct {
 	// Log receives the store's recovery and degradation diagnostics
 	// (nil = os.Stderr).
 	Log io.Writer
+	// Designs are the designs jobs may name beyond the built-ins (e.g.
+	// loaded from -design-files). A name must not repeat a built-in or
+	// another entry.
+	Designs []experiment.DesignSpec
 }
 
 // Outcome is the result of one job submission.
@@ -79,6 +83,7 @@ func (o Outcome) ServedWithoutSim() bool { return o.CacheHit || o.Collapsed }
 // simulate jobs under a bounded worker pool.
 type Service struct {
 	base    config.Config
+	designs []experiment.DesignSpec
 	cache   *Cache
 	flight  flightGroup
 	sem     chan struct{}
@@ -108,6 +113,13 @@ func New(opts Options) (*Service, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	var designs []experiment.DesignSpec
+	for _, spec := range opts.Designs {
+		var err error
+		if designs, err = experiment.AddDesign(designs, spec); err != nil {
+			return nil, err
+		}
+	}
 	cache, err := NewStore(StoreConfig{Entries: opts.CacheEntries, Dir: opts.CacheDir, Log: opts.Log})
 	if err != nil {
 		return nil, err
@@ -118,6 +130,7 @@ func New(opts Options) (*Service, error) {
 	}
 	return &Service{
 		base:           base,
+		designs:        designs,
 		cache:          cache,
 		sem:            make(chan struct{}, workers),
 		workers:        workers,
@@ -154,7 +167,7 @@ func (s *Service) Cache() *Cache { return s.cache }
 // Resolve validates and canonicalizes a job against the service's base
 // configuration. Errors are client errors (unknown design/workload, bad
 // mode or windows).
-func (s *Service) Resolve(job Job) (Resolved, error) { return job.resolve(s.base) }
+func (s *Service) Resolve(job Job) (Resolved, error) { return job.resolve(s.base, s.designs) }
 
 // Run executes one job synchronously: result-store hit, collapse into an
 // identical in-flight submission, or a fresh simulation on the worker pool.
@@ -252,7 +265,7 @@ func (s *Service) runPair(ctx context.Context, r Resolved, st *jobState) (Outcom
 	pair := experiment.Pair{
 		Cfg:      r.Cfg,
 		Workload: r.W,
-		Design:   r.Job.Design,
+		Spec:     r.Spec,
 		Obs:      &experiment.RunObs{Introspector: st.intro},
 	}
 	// RunPair's panic boundary is the same per-pair isolation sweeps get: a

@@ -3,8 +3,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -705,17 +708,11 @@ func TestWorkerPoolBounds(t *testing.T) {
 // with the captured panic, Status reports it failed, and the same Service
 // then runs a good job.
 func TestPanickingControllerFailsOnlyItsJob(t *testing.T) {
-	if _, ok := experiment.Lookup("Poisoned-Service"); !ok {
-		err := experiment.Register(experiment.DesignSpec{
-			Name:      "Poisoned-Service",
-			Kind:      experiment.KindBaryon,
-			Overrides: config.Overrides{BlockBytes: config.Ptr[uint64](0)},
-		})
-		if err != nil {
-			t.Fatalf("registering poisoned design: %v", err)
-		}
-	}
-	s := quickService(t, Options{})
+	s := quickService(t, Options{Designs: []experiment.DesignSpec{{
+		Name:      "Poisoned-Service",
+		Kind:      experiment.KindBaryon,
+		Overrides: config.Overrides{BlockBytes: config.Ptr[uint64](0)},
+	}}})
 	ctx := context.Background()
 	bad := Job{Design: "Poisoned-Service", Workload: "505.mcf_r", Seed: 1}
 	r, err := s.Resolve(bad)
@@ -734,5 +731,56 @@ func TestPanickingControllerFailsOnlyItsJob(t *testing.T) {
 	}
 	if out.Result == nil || out.Result.Cycles == 0 || len(out.Bundle) == 0 {
 		t.Fatalf("good job produced no result: %+v", out)
+	}
+}
+
+// TestServicesKeepTheirOwnDesigns pins that extra designs belong to one
+// Service, not to the process: two services with different Options.Designs
+// each resolve their own, list it after the built-ins on /api/v1/designs,
+// reject the other's by name, and neither may shadow a built-in.
+func TestServicesKeepTheirOwnDesigns(t *testing.T) {
+	a := experiment.DesignSpec{Name: "Extra-A", Kind: experiment.KindSimple}
+	b := experiment.DesignSpec{Name: "Extra-B", Kind: experiment.KindBaryon,
+		Overrides: config.Overrides{CommitAll: config.Ptr(true)}}
+	sa, ca := testServerOpts(t, Options{Designs: []experiment.DesignSpec{a}}, HandlerOptions{})
+	sb, cb := testServerOpts(t, Options{Designs: []experiment.DesignSpec{b}}, HandlerOptions{})
+	for _, tc := range []struct {
+		s          *Service
+		c          *Client
+		own, other experiment.DesignSpec
+	}{{sa, ca, a, b}, {sb, cb, b, a}} {
+		r, err := tc.s.Resolve(Job{Design: tc.own.Name, Workload: "505.mcf_r"})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.own.Name, err)
+		}
+		if r.Spec.Name != tc.own.Name || r.Spec.Kind != tc.own.Kind {
+			t.Fatalf("%s resolved to %+v", tc.own.Name, r.Spec)
+		}
+		_, err = tc.s.Resolve(Job{Design: tc.other.Name, Workload: "505.mcf_r"})
+		if err == nil || !strings.Contains(err.Error(), tc.own.Name) {
+			t.Fatalf("service with %s resolved %s: err = %v, want unknown design listing %s",
+				tc.own.Name, tc.other.Name, err, tc.own.Name)
+		}
+		resp, err := http.Get(tc.c.Base + "/api/v1/designs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		err = json.NewDecoder(resp.Body).Decode(&names)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(experiment.Designs(nil), tc.own.Name)
+		if !slices.Equal(names, want) {
+			t.Fatalf("/api/v1/designs = %v, want %v", names, want)
+		}
+	}
+	if _, err := sa.Run(context.Background(), Job{Design: a.Name, Workload: "505.mcf_r", Seed: 1}); err != nil {
+		t.Fatalf("running %s: %v", a.Name, err)
+	}
+	shadow := experiment.DesignSpec{Name: experiment.DesignBaryon, Kind: experiment.KindSimple}
+	if _, err := New(Options{Designs: []experiment.DesignSpec{shadow}}); err == nil {
+		t.Fatal("New accepted an extra design named like a built-in")
 	}
 }

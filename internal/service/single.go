@@ -25,7 +25,7 @@ type SingleRun struct {
 	// Source optionally replays a recorded trace instead of the workload's
 	// synthetic generator.
 	Source trace.Source
-	Design string
+	Spec   experiment.DesignSpec
 
 	// Timeout bounds the run's wall clock (0 = none).
 	Timeout time.Duration
@@ -79,7 +79,7 @@ func RunSingle(ctx context.Context, req SingleRun) (cpu.Result, error) {
 	pair := experiment.Pair{
 		Cfg:      req.Cfg,
 		Workload: req.Workload,
-		Design:   req.Design,
+		Spec:     req.Spec,
 		Source:   req.Source,
 	}
 	if req.Tracer != nil || in != nil {
@@ -88,13 +88,9 @@ func RunSingle(ctx context.Context, req SingleRun) (cpu.Result, error) {
 	return experiment.RunPair(ctx, pair)
 }
 
-// BundleFor builds the deterministic report bundle for a completed run of a
-// registered design — the shared bundle-emission path of the CLIs.
-func BundleFor(design string, cfg config.Config, res cpu.Result) (report.Bundle, error) {
-	spec, ok := experiment.Lookup(design)
-	if !ok {
-		return report.Bundle{}, fmt.Errorf("design %q not registered", design)
-	}
+// BundleFor builds the deterministic report bundle for a completed run of
+// spec — the shared bundle-emission path of the CLIs.
+func BundleFor(spec experiment.DesignSpec, cfg config.Config, res cpu.Result) (report.Bundle, error) {
 	key, err := report.Key(spec, cfg, res.Workload)
 	if err != nil {
 		return report.Bundle{}, err
