@@ -1,4 +1,5 @@
-# Standard verification pipeline. `make check` is what CI should run.
+# Standard verification pipeline. `make check` runs every check locally; CI
+# splits the same targets across jobs and runs each once.
 
 GO ?= go
 

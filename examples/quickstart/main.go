@@ -1,6 +1,6 @@
 // Quickstart: build a Baryon memory controller directly, issue reads and
 // writes against it, and inspect what the controller did — the smallest
-// possible tour of the library's core API (config -> store -> controller).
+// possible tour of the library's core API (config -> store -> kit -> controller).
 package main
 
 import (
@@ -32,8 +32,14 @@ func main() {
 		}
 	})
 
+	// Every controller is built on a kit: the config's memory tiers, the
+	// store and the stats registry.
+	tiers, err := cfg.TierSpecs()
+	if err != nil {
+		panic(err)
+	}
 	stats := sim.NewStats()
-	ctrl := core.New(cfg, store, stats)
+	ctrl := core.New(cfg, hybrid.NewKit(tiers, store, stats))
 
 	// Touch a working set: sixteen 2 kB blocks, several sub-blocks each,
 	// twice — the second round should hit fast memory.

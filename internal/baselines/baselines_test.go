@@ -17,16 +17,16 @@ func testStore() *hybrid.Store {
 	})
 }
 
-// defaultTiers is the device topology of a configuration without a Tiers
-// section: DDR4 over NVM.
-func defaultTiers(t *testing.T) []hybrid.TierSpec {
+// defaultKit builds the kit over the device topology of a configuration
+// without a Tiers section: DDR4 over NVM.
+func defaultKit(t *testing.T, store *hybrid.Store, stats *sim.Stats) hybrid.Kit {
 	t.Helper()
 	cfg := config.Scaled()
 	specs, err := cfg.TierSpecs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return specs
+	return hybrid.NewKit(specs, store, stats)
 }
 
 // driveController exercises a controller with mixed traffic and checks read
@@ -63,7 +63,7 @@ func driveController(t *testing.T, ctrl hybrid.Controller, accesses int, footpri
 func TestSimpleBasics(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, store, stats, defaultTiers(t))
+	s := NewSimple(defaultKit(t, store, stats), 64, 4, hybrid.LRU{})
 	driveController(t, s, 20000, 1<<20, 7)
 	if stats.Get("simple.hits") == 0 || stats.Get("simple.misses") == 0 {
 		t.Fatalf("hits=%d misses=%d; want both nonzero",
@@ -77,7 +77,7 @@ func TestSimpleBasics(t *testing.T) {
 func TestSimpleWholeBlockTraffic(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	s := NewSimple(64, 4, store, stats, defaultTiers(t))
+	s := NewSimple(defaultKit(t, store, stats), 64, 4, hybrid.LRU{})
 	s.Access(0, 0, false, nil)
 	// A single miss fills a whole 2 kB block from slow memory.
 	if got := stats.Get("NVM.bytesRead"); got < hybrid.BlockSize {
@@ -88,7 +88,7 @@ func TestSimpleWholeBlockTraffic(t *testing.T) {
 func TestUnisonFootprintLearning(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(16, 4, store, stats, 1, defaultTiers(t))
+	u := NewUnison(defaultKit(t, store, stats), 16, 4, hybrid.LRU{}, 1)
 	// Touch two sub-blocks of block 0, then force an eviction by filling
 	// the set, then return: the footprint should be prefetched.
 	u.Access(0, 0, false, nil)
@@ -108,7 +108,7 @@ func TestUnisonFootprintLearning(t *testing.T) {
 func TestUnisonDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	u := NewUnison(128, 4, store, stats, 2, defaultTiers(t))
+	u := NewUnison(defaultKit(t, store, stats), 128, 4, hybrid.LRU{}, 2)
 	driveController(t, u, 20000, 2<<20, 8)
 	if stats.Get("unison.blockMisses") == 0 || stats.Get("unison.subHits") == 0 {
 		t.Fatal("unison did not exercise hit and miss paths")
@@ -120,7 +120,7 @@ func TestDICECompressionCapacity(t *testing.T) {
 	// second line of a group hits without a second miss.
 	store := hybrid.NewStore(nil)
 	stats := sim.NewStats()
-	d := NewDICE(1<<16, store, stats, 5, defaultTiers(t))
+	d := NewDICE(defaultKit(t, store, stats), 1<<16, 5)
 	d.Access(0, 0, false, nil)
 	res := d.Access(100, 64, false, nil)
 	if !res.ServedByFast {
@@ -134,7 +134,7 @@ func TestDICECompressionCapacity(t *testing.T) {
 func TestDICEPrefetchLines(t *testing.T) {
 	store := hybrid.NewStore(nil)
 	stats := sim.NewStats()
-	d := NewDICE(1<<16, store, stats, 5, defaultTiers(t))
+	d := NewDICE(defaultKit(t, store, stats), 1<<16, 5)
 	d.Access(0, 0, false, nil)
 	res := d.Access(10, 0, false, nil)
 	if len(res.Prefetched) == 0 {
@@ -145,7 +145,7 @@ func TestDICEPrefetchLines(t *testing.T) {
 func TestDICEDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	d := NewDICE(1<<18, store, stats, 5, defaultTiers(t))
+	d := NewDICE(defaultKit(t, store, stats), 1<<18, 5)
 	driveController(t, d, 20000, 2<<20, 9)
 	if stats.Get("dice.hits") == 0 || stats.Get("dice.misses") == 0 {
 		t.Fatal("DICE did not exercise both paths")
@@ -159,7 +159,7 @@ func TestHybrid2Drive(t *testing.T) {
 	cfg.SlowBytes = 8 << 20
 	store := testStore()
 	stats := sim.NewStats()
-	h := NewHybrid2(cfg, store, stats)
+	h := NewHybrid2(cfg, defaultKit(t, store, stats))
 	driveController(t, h, 10000, 2<<20, 10)
 	// The k=0 policy migrates when stage frames carry enough dirty data;
 	// write-heavy traffic must trigger it.
@@ -189,20 +189,20 @@ func TestHybrid2Drive(t *testing.T) {
 
 func TestControllersImplementInterface(t *testing.T) {
 	store := testStore()
-	var _ hybrid.Controller = NewSimple(16, 4, store, sim.NewStats(), defaultTiers(t))
-	var _ hybrid.Controller = NewUnison(16, 4, store, sim.NewStats(), 1, defaultTiers(t))
-	var _ hybrid.Controller = NewDICE(1<<14, store, sim.NewStats(), 5, defaultTiers(t))
+	var _ hybrid.Controller = NewSimple(defaultKit(t, store, sim.NewStats()), 16, 4, hybrid.LRU{})
+	var _ hybrid.Controller = NewUnison(defaultKit(t, store, sim.NewStats()), 16, 4, hybrid.LRU{}, 1)
+	var _ hybrid.Controller = NewDICE(defaultKit(t, store, sim.NewStats()), 1<<14, 5)
 	cfg := config.Scaled()
 	cfg.FastBytes = 1 << 20
 	cfg.StageBytes = 128 << 10
 	cfg.SlowBytes = 8 << 20
-	var _ hybrid.Controller = NewHybrid2(cfg, store, sim.NewStats())
+	var _ hybrid.Controller = NewHybrid2(cfg, defaultKit(t, store, sim.NewStats()))
 }
 
 func TestOSPagingDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, defaultTiers(t))
+	o := NewOSPaging(defaultKit(t, store, stats), 1<<20)
 	driveController(t, o, 120000, 2<<20, 12)
 	if stats.Get("ospaging.migrations") == 0 {
 		t.Fatal("no migrations across epochs")
@@ -215,7 +215,7 @@ func TestOSPagingDrive(t *testing.T) {
 func TestOSPagingEpochMigratesHotPages(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, defaultTiers(t))
+	o := NewOSPaging(defaultKit(t, store, stats), 1<<20)
 	// Hammer a small hot set across an epoch boundary; afterwards it must
 	// be fast-resident.
 	now := uint64(0)
@@ -236,7 +236,7 @@ func TestOSPagingCoarseGranularity(t *testing.T) {
 	// page is hot.
 	store := testStore()
 	stats := sim.NewStats()
-	o := NewOSPaging(1<<20, store, stats, defaultTiers(t))
+	o := NewOSPaging(defaultKit(t, store, stats), 1<<20)
 	now := uint64(0)
 	for i := 0; i < int(osEpochLen)+1; i++ {
 		addr := uint64(i%64) * osPageSize // one line per page

@@ -3,8 +3,6 @@ package baselines
 import (
 	"baryon/internal/compress"
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -26,10 +24,8 @@ import (
 // On the kit, DICE is the direct-mapped special case: a Dir with one way
 // per set, keyed by the compression-run id (the CF-dependent index).
 type DICE struct {
-	eng   *hybrid.Engine
-	store *hybrid.Store
-	stats *sim.Stats
-	comp  *compress.Compressor
+	hybrid.Kit
+	comp *compress.Compressor
 
 	dir               *hybrid.Dir[diceSlot]
 	cfCache           map[uint64]uint8 // group -> current CF (the CF predictor)
@@ -39,9 +35,6 @@ type DICE struct {
 	servedFast, decompressions         *sim.Counter
 }
 
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (d *DICE) SetTracer(t *obs.Tracer) { d.eng.SetTracer(t) }
-
 // diceSlot is the directory payload of one direct-mapped slot; the run id
 // lives in the way's Key.
 type diceSlot struct {
@@ -50,50 +43,36 @@ type diceSlot struct {
 	dirty   uint8
 }
 
-// NewDICE builds the DICE baseline with fastBytes of cache over the device
-// topology tiers (see config.TierSpecs).
-func NewDICE(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, decompressLatency uint64, tiers []hybrid.TierSpec) *DICE {
+// NewDICE builds the DICE baseline on kit with fastBytes of cache.
+func NewDICE(kit hybrid.Kit, fastBytes, decompressLatency uint64) *DICE {
 	d := &DICE{
-		store: store, stats: stats,
+		Kit:               kit,
 		comp:              compress.New(true),
-		eng:               hybrid.NewEngine(tiers, stats),
 		dir:               hybrid.NewDirSets[diceSlot](fastBytes/hybrid.CachelineSize, 1),
 		cfCache:           make(map[uint64]uint8),
 		decompressLatency: decompressLatency,
 	}
-	cstats := stats.Scope("dice")
+	cstats := kit.Stats().Scope("dice")
 	d.accesses = cstats.Counter("accesses")
 	d.hits = cstats.Counter("hits")
 	d.misses = cstats.Counter("misses")
 	d.writebacks = cstats.Counter("writebacks")
 	d.servedFast = cstats.Counter("servedFast")
 	d.decompressions = cstats.Counter("decompressions")
-	d.eng.CountWritebacks(d.writebacks)
-	d.eng.InstrumentLatency(cstats)
+	d.Engine().CountWritebacks(d.writebacks)
+	d.Engine().InstrumentLatency(cstats)
 	return d
 }
 
 // Name identifies the design.
 func (d *DICE) Name() string { return "DICE" }
 
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
-func (d *DICE) Engine() *hybrid.Engine { return d.eng }
-
-// Stats returns the counter collection.
-func (d *DICE) Stats() *sim.Stats { return d.stats }
-
-// FastDevice returns the DDR4 device model.
-func (d *DICE) FastDevice() *mem.Device { return d.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (d *DICE) SlowDevice() *mem.Device { return d.eng.Slow() }
-
 // groupCF computes (and caches) the quantised CF of the 4-line group.
 func (d *DICE) groupCF(group uint64) uint8 {
 	if cf, ok := d.cfCache[group]; ok {
 		return cf
 	}
-	content := d.store.Bytes(group*256, 256)
+	content := d.Store.Bytes(group*256, 256)
 	var cf uint8
 	switch {
 	case d.comp.FitsWithin(content, 64):
@@ -125,7 +104,7 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 	within := uint8(lineIdx % uint64(cf))
 
 	if write {
-		d.store.WriteLine(addr, data)
+		d.Store.WriteLine(addr, data)
 	}
 
 	if meta.Valid && meta.Key == run && slot.cf == cf && slot.present&(1<<within) != 0 {
@@ -143,24 +122,24 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 			} else {
 				slot.dirty |= 1 << within
 			}
-			d.eng.FillFast(now, slotAddr, 64)
+			d.Engine().FillFast(now, slotAddr, 64)
 			return hybrid.Result{Done: now}
 		}
-		done := d.eng.FastRead(now, slotAddr, 64)
+		done := d.Engine().FastRead(now, slotAddr, 64)
 		if cf > 1 {
 			done += d.decompressLatency
 			d.decompressions.Inc()
 		}
 		d.servedFast.Inc()
-		d.eng.ObserveFast(now, done, "hit")
-		res := hybrid.Result{Done: done, ServedByFast: true, Data: d.store.Line(addr)}
+		d.Engine().ObserveFast(now, done, "hit")
+		res := hybrid.Result{Done: done, ServedByFast: true, Data: d.Store.Line(addr)}
 		base := run * uint64(cf) * 64
 		for l := uint8(0); l < cf; l++ {
 			if l == within || slot.present&(1<<l) == 0 {
 				continue
 			}
 			laddr := base + uint64(l)*64
-			res.Prefetched = append(res.Prefetched, hybrid.PrefetchedLine{Addr: laddr, Data: d.store.Line(laddr)})
+			res.Prefetched = append(res.Prefetched, hybrid.PrefetchedLine{Addr: laddr, Data: d.Store.Line(laddr)})
 		}
 		return res
 	}
@@ -168,14 +147,14 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 	// Miss: tag-and-data units live in DRAM, so discovering the miss costs
 	// one fast probe; then serve from slow memory and install the run.
 	d.misses.Inc()
-	probe := d.eng.FastRead(now, slotAddr, 64)
+	probe := d.Engine().FastRead(now, slotAddr, 64)
 	var res hybrid.Result
 	if write {
 		res = hybrid.Result{Done: now}
 	} else {
-		done := d.eng.SlowRead(probe, addr, 64)
-		d.eng.ObserveSlow(now, done, "miss")
-		res = hybrid.Result{Done: done, Data: d.store.Line(addr)}
+		done := d.Engine().SlowRead(probe, addr, 64)
+		d.Engine().ObserveSlow(now, done, "miss")
+		res = hybrid.Result{Done: done, Data: d.Store.Line(addr)}
 	}
 	d.installRun(now, lineIdx, cf, write)
 	return res
@@ -195,9 +174,9 @@ func (d *DICE) installRun(now uint64, lineIdx uint64, cf uint8, write bool) {
 	}
 	// One extra burst brings the rest of the compressed run.
 	if cf > 1 {
-		d.eng.FetchSlow(now, run*uint64(cf)*64, 64)
+		d.Engine().FetchSlow(now, run*uint64(cf)*64, 64)
 	}
-	d.eng.FillFast(now, slotAddr, 64)
+	d.Engine().FillFast(now, slotAddr, 64)
 	*meta = hybrid.WayMeta{Key: run, Valid: true}
 	ns := diceSlot{cf: cf, present: present}
 	if write {
@@ -216,9 +195,6 @@ func (d *DICE) writebackSlot(now uint64, meta *hybrid.WayMeta, slot *diceSlot) {
 			n++
 		}
 	}
-	d.eng.Writeback(now, meta.Key*uint64(slot.cf)*64, n*64)
+	d.Engine().Writeback(now, meta.Key*uint64(slot.cf)*64, n*64)
 	slot.dirty = 0
 }
-
-// PeekLine implements hybrid.DataPeeker.
-func (d *DICE) PeekLine(addr uint64) []byte { return d.store.Line(addr) }

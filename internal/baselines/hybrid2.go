@@ -4,8 +4,6 @@ import (
 	"baryon/internal/config"
 	"baryon/internal/core"
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
-	"baryon/internal/sim"
 )
 
 // Hybrid2 models the flat-scheme baseline of Vasilakis et al. (HPCA 2020):
@@ -43,16 +41,10 @@ func Hybrid2Config(cfg config.Config) config.Config {
 	return cfg
 }
 
-// NewHybrid2 builds the Hybrid2 baseline over the canonical store.
-func NewHybrid2(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Hybrid2 {
-	return &Hybrid2{Controller: core.New(Hybrid2Config(cfg), store, stats)}
+// NewHybrid2 builds the Hybrid2 baseline on kit.
+func NewHybrid2(cfg config.Config, kit hybrid.Kit) *Hybrid2 {
+	return &Hybrid2{Controller: core.New(Hybrid2Config(cfg), kit)}
 }
 
 // Name identifies the design.
 func (h *Hybrid2) Name() string { return "Hybrid2" }
-
-// FastDevice returns the DDR4 device model.
-func (h *Hybrid2) FastDevice() *mem.Device { return h.Controller.FastDevice() }
-
-// SlowDevice returns the NVM device model.
-func (h *Hybrid2) SlowDevice() *mem.Device { return h.Controller.SlowDevice() }

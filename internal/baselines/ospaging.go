@@ -4,8 +4,6 @@ import (
 	"sort"
 
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -17,9 +15,7 @@ import (
 // software-paced adaptation with per-migration overheads (page copy plus
 // TLB shootdown and kernel work).
 type OSPaging struct {
-	eng   *hybrid.Engine
-	store *hybrid.Store
-	stats *sim.Stats
+	hybrid.Kit
 
 	fastPages int // capacity of the fast tier in 4 kB pages
 
@@ -38,9 +34,6 @@ type OSPaging struct {
 	hits, misses, migrations, writebacks *sim.Counter
 }
 
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (o *OSPaging) SetTracer(t *obs.Tracer) { o.eng.SetTracer(t) }
-
 // osPageSize is the migration granularity (4 kB OS pages = 2 blocks).
 const osPageSize = 4096
 
@@ -54,13 +47,11 @@ const (
 	osMigBudget = 64
 )
 
-// NewOSPaging builds the OS-managed baseline with fastBytes of fast memory
-// over the device topology tiers (see config.TierSpecs).
-func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *OSPaging {
+// NewOSPaging builds the OS-managed baseline on kit with fastBytes of fast
+// memory.
+func NewOSPaging(kit hybrid.Kit, fastBytes uint64) *OSPaging {
 	o := &OSPaging{
-		eng:        hybrid.NewEngine(tiers, stats),
-		store:      store,
-		stats:      stats,
+		Kit:        kit,
 		fastPages:  int(fastBytes / osPageSize),
 		inFast:     make(map[uint64]bool),
 		hotness:    make(map[uint64]uint32),
@@ -68,30 +59,18 @@ func NewOSPaging(fastBytes uint64, store *hybrid.Store, stats *sim.Stats, tiers 
 		epochLen:   osEpochLen,
 		migPenalty: osMigPenalty,
 	}
-	cstats := stats.Scope("ospaging")
+	cstats := kit.Stats().Scope("ospaging")
 	o.hits = cstats.Counter("hits")
 	o.misses = cstats.Counter("misses")
 	o.migrations = cstats.Counter("migrations")
 	o.writebacks = cstats.Counter("writebacks")
-	o.eng.CountWritebacks(o.writebacks)
-	o.eng.InstrumentLatency(cstats)
+	o.Engine().CountWritebacks(o.writebacks)
+	o.Engine().InstrumentLatency(cstats)
 	return o
 }
 
 // Name identifies the design.
 func (o *OSPaging) Name() string { return "OSPaging" }
-
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
-func (o *OSPaging) Engine() *hybrid.Engine { return o.eng }
-
-// Stats returns the counter collection.
-func (o *OSPaging) Stats() *sim.Stats { return o.stats }
-
-// FastDevice returns the DDR4 device model.
-func (o *OSPaging) FastDevice() *mem.Device { return o.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (o *OSPaging) SlowDevice() *mem.Device { return o.eng.Slow() }
 
 // Access implements hybrid.Controller.
 func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
@@ -100,7 +79,7 @@ func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybr
 	o.hotness[page]++
 
 	if write {
-		o.store.WriteLine(addr, data)
+		o.Store.WriteLine(addr, data)
 	}
 
 	issue := now
@@ -113,22 +92,22 @@ func (o *OSPaging) Access(now uint64, addr uint64, write bool, data []byte) hybr
 		o.hits.Inc()
 		if write {
 			o.dirty[page] = true
-			o.eng.FillFast(issue, page*osPageSize%uint64(o.fastPages*osPageSize)+addr%osPageSize, 64)
+			o.Engine().FillFast(issue, page*osPageSize%uint64(o.fastPages*osPageSize)+addr%osPageSize, 64)
 			res = hybrid.Result{Done: now}
 		} else {
-			done := o.eng.FastRead(issue, page*osPageSize%uint64(o.fastPages*osPageSize)+addr%osPageSize, 64)
-			o.eng.ObserveFast(now, done, "pageHit")
-			res = hybrid.Result{Done: done, ServedByFast: true, Data: o.store.Line(addr)}
+			done := o.Engine().FastRead(issue, page*osPageSize%uint64(o.fastPages*osPageSize)+addr%osPageSize, 64)
+			o.Engine().ObserveFast(now, done, "pageHit")
+			res = hybrid.Result{Done: done, ServedByFast: true, Data: o.Store.Line(addr)}
 		}
 	} else {
 		o.misses.Inc()
 		if write {
-			o.eng.WriteSlowBG(issue, addr, 64)
+			o.Engine().WriteSlowBG(issue, addr, 64)
 			res = hybrid.Result{Done: now}
 		} else {
-			done := o.eng.SlowRead(issue, addr, 64)
-			o.eng.ObserveSlow(now, done, "pageMiss")
-			res = hybrid.Result{Done: done, Data: o.store.Line(addr)}
+			done := o.Engine().SlowRead(issue, addr, 64)
+			o.Engine().ObserveSlow(now, done, "pageMiss")
+			res = hybrid.Result{Done: done, Data: o.Store.Line(addr)}
 		}
 	}
 
@@ -190,14 +169,14 @@ func (o *OSPaging) epoch(now uint64) {
 			evictIdx++
 			delete(o.inFast, victim)
 			if o.dirty[victim] {
-				o.eng.Writeback(now, victim*osPageSize, osPageSize)
+				o.Engine().Writeback(now, victim*osPageSize, osPageSize)
 				delete(o.dirty, victim)
 			}
 		}
 		o.inFast[cand.page] = true
 		o.migrations.Inc()
-		o.eng.FetchSlow(now, cand.page*osPageSize, osPageSize)
-		o.eng.FillFast(now, cand.page*osPageSize%uint64(o.fastPages*osPageSize), osPageSize)
+		o.Engine().FetchSlow(now, cand.page*osPageSize, osPageSize)
+		o.Engine().FillFast(now, cand.page*osPageSize%uint64(o.fastPages*osPageSize), osPageSize)
 		migrated++
 	}
 	// Software overhead: TLB shootdowns and kernel bookkeeping serialise
@@ -213,6 +192,3 @@ func (o *OSPaging) epoch(now uint64) {
 		}
 	}
 }
-
-// PeekLine implements hybrid.DataPeeker.
-func (o *OSPaging) PeekLine(addr uint64) []byte { return o.store.Line(addr) }

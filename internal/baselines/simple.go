@@ -9,26 +9,23 @@
 //
 // The baseline controllers have no data-layout transformations, so they use
 // the canonical store directly as their data plane and track presence and
-// dirtiness for timing and traffic only. All of them are built on the
-// shared controller kit of package hybrid: the set-associative directory
-// (hybrid.Dir), the replacement policies (hybrid.Replacer) and the
-// migration/writeback engine with its instrumentation middleware
-// (hybrid.Engine).
+// dirtiness for timing and traffic only. Each embeds a hybrid.Kit (engine,
+// store and registry), which supplies its devices, engine, tracer sink and
+// PeekLine; each constructor takes the kit as its first argument.
+// experiment.FactorySpec assembles the kit. The controllers also share the
+// set-associative directory (hybrid.Dir) and the replacement policies
+// (hybrid.Replacer).
 package baselines
 
 import (
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
 // Simple is the paper's Simple DRAM cache baseline: 2 kB blocks, 4-way
 // set-associative, LRU, whole-block fills and writebacks.
 type Simple struct {
-	eng   *hybrid.Engine
-	store *hybrid.Store
-	stats *sim.Stats
+	hybrid.Kit
 
 	dir   *hybrid.Dir[simpleWay]
 	rep   hybrid.Replacer
@@ -46,50 +43,29 @@ type simpleWay struct {
 	dirty bool
 }
 
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (s *Simple) SetTracer(t *obs.Tracer) { s.eng.SetTracer(t) }
-
-// SetReplacer overrides the replacement policy (default LRU). Intended for
-// DesignSpec policy knobs; call before the first access.
-func (s *Simple) SetReplacer(r hybrid.Replacer) { s.rep = r }
-
-// NewSimple builds the Simple baseline with fastBlocks block frames at the
-// given associativity over an osBlocks physical space, on the device
-// topology tiers (see config.TierSpecs).
-func NewSimple(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, tiers []hybrid.TierSpec) *Simple {
+// NewSimple builds the Simple baseline on kit with fastBlocks block frames
+// at the given associativity, evicting by rep.
+func NewSimple(kit hybrid.Kit, fastBlocks uint64, assoc int, rep hybrid.Replacer) *Simple {
 	s := &Simple{
-		store: store, stats: stats, assoc: assoc,
-		eng: hybrid.NewEngine(tiers, stats),
+		Kit: kit, assoc: assoc,
 		dir: hybrid.NewDir[simpleWay](fastBlocks, assoc),
-		rep: hybrid.LRU{},
+		rep: rep,
 		// Remap metadata lookup (on-chip remap cache path).
 		metaLatency: 3,
 	}
-	cstats := stats.Scope("simple")
+	cstats := kit.Stats().Scope("simple")
 	s.accesses = cstats.Counter("accesses")
 	s.hits = cstats.Counter("hits")
 	s.misses = cstats.Counter("misses")
 	s.writebacks = cstats.Counter("writebacks")
 	s.servedFast = cstats.Counter("servedFast")
-	s.eng.CountWritebacks(s.writebacks)
-	s.eng.InstrumentLatency(cstats)
+	s.Engine().CountWritebacks(s.writebacks)
+	s.Engine().InstrumentLatency(cstats)
 	return s
 }
 
 // Name identifies the design.
 func (s *Simple) Name() string { return "Simple" }
-
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
-func (s *Simple) Engine() *hybrid.Engine { return s.eng }
-
-// Stats returns the counter collection.
-func (s *Simple) Stats() *sim.Stats { return s.stats }
-
-// FastDevice returns the DDR4 device model.
-func (s *Simple) FastDevice() *mem.Device { return s.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (s *Simple) SlowDevice() *mem.Device { return s.eng.Slow() }
 
 // Access implements hybrid.Controller.
 func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid.Result {
@@ -99,7 +75,7 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	si := s.dir.SetIndex(block)
 
 	if write {
-		s.store.WriteLine(addr, data)
+		s.Store.WriteLine(addr, data)
 	}
 
 	if w := s.dir.Lookup(si, block); w >= 0 {
@@ -108,13 +84,13 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 		meta.LastUse = s.seq
 		if write {
 			way.dirty = true
-			s.eng.FillFast(now, s.frameAddr(block, w), 64)
+			s.Engine().FillFast(now, s.frameAddr(block, w), 64)
 			return hybrid.Result{Done: now}
 		}
-		done := s.eng.FastRead(now+s.metaLatency, s.frameAddr(block, w), 64)
+		done := s.Engine().FastRead(now+s.metaLatency, s.frameAddr(block, w), 64)
 		s.servedFast.Inc()
-		s.eng.ObserveFast(now, done, "hit")
-		return hybrid.Result{Done: done, ServedByFast: true, Data: s.store.Line(addr)}
+		s.Engine().ObserveFast(now, done, "hit")
+		return hybrid.Result{Done: done, ServedByFast: true, Data: s.Store.Line(addr)}
 	}
 	s.misses.Inc()
 
@@ -122,21 +98,21 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	var res hybrid.Result
 	if write {
 		res = hybrid.Result{Done: now}
-		s.eng.WriteSlowBG(now, addr, 64)
+		s.Engine().WriteSlowBG(now, addr, 64)
 	} else {
-		done := s.eng.SlowRead(now+s.metaLatency, addr, 64)
-		s.eng.ObserveSlow(now, done, "miss")
-		res = hybrid.Result{Done: done, Data: s.store.Line(addr)}
+		done := s.Engine().SlowRead(now+s.metaLatency, addr, 64)
+		s.Engine().ObserveSlow(now, done, "miss")
+		res = hybrid.Result{Done: done, Data: s.Store.Line(addr)}
 	}
 
 	// Background: fill the whole 2 kB block, evicting the policy's victim.
 	victim := s.dir.Victim(si, s.rep)
 	meta, way := s.dir.Way(si, victim)
 	if meta.Valid && way.dirty {
-		s.eng.Writeback(now, meta.Key*hybrid.BlockSize, hybrid.BlockSize)
+		s.Engine().Writeback(now, meta.Key*hybrid.BlockSize, hybrid.BlockSize)
 	}
-	s.eng.FetchSlow(now, block*hybrid.BlockSize, hybrid.BlockSize)
-	s.eng.FillFast(now, s.frameAddr(block, victim), hybrid.BlockSize)
+	s.Engine().FetchSlow(now, block*hybrid.BlockSize, hybrid.BlockSize)
+	s.Engine().FillFast(now, s.frameAddr(block, victim), hybrid.BlockSize)
 	*meta = hybrid.WayMeta{Key: block, Valid: true, LastUse: s.seq}
 	*way = simpleWay{dirty: write}
 	return res
@@ -145,6 +121,3 @@ func (s *Simple) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 func (s *Simple) frameAddr(block uint64, way int) uint64 {
 	return (block%s.dir.Sets())*uint64(s.assoc)*hybrid.BlockSize + uint64(way)*hybrid.BlockSize
 }
-
-// PeekLine implements hybrid.DataPeeker (the store is always current).
-func (s *Simple) PeekLine(addr uint64) []byte { return s.store.Line(addr) }

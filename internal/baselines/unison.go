@@ -4,8 +4,6 @@ import (
 	"math/bits"
 
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -20,10 +18,8 @@ import (
 //     and data together when the way predictor is right, and an extra access
 //     when it is wrong.
 type Unison struct {
-	eng   *hybrid.Engine
-	store *hybrid.Store
-	stats *sim.Stats
-	rng   *sim.RNG
+	hybrid.Kit
+	rng *sim.RNG
 
 	dir   *hybrid.Dir[unisonWay]
 	rep   hybrid.Replacer
@@ -43,13 +39,6 @@ type Unison struct {
 	wayMispredicts, writebacks, servedFast               *sim.Counter
 }
 
-// SetTracer attaches a request-lifecycle tracer (nil detaches).
-func (u *Unison) SetTracer(t *obs.Tracer) { u.eng.SetTracer(t) }
-
-// SetReplacer overrides the replacement policy (default LRU). Intended for
-// DesignSpec policy knobs; call before the first access.
-func (u *Unison) SetReplacer(r hybrid.Replacer) { u.rep = r }
-
 // unisonWay is the directory payload: sub-block presence/dirty/footprint
 // bitmaps plus the class-history key.
 type unisonWay struct {
@@ -66,18 +55,17 @@ const wayPredictAccuracy = 0.95
 // unisonSub is the 64 B sub-block size of Unison Cache.
 const unisonSub = 64
 
-// NewUnison builds the Unison baseline over the device topology tiers (see
-// config.TierSpecs).
-func NewUnison(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Stats, seed uint64, tiers []hybrid.TierSpec) *Unison {
+// NewUnison builds the Unison baseline on kit like NewSimple; seed drives
+// the way predictor.
+func NewUnison(kit hybrid.Kit, fastBlocks uint64, assoc int, rep hybrid.Replacer, seed uint64) *Unison {
 	u := &Unison{
-		store: store, stats: stats, assoc: assoc,
-		eng:     hybrid.NewEngine(tiers, stats),
+		Kit: kit, assoc: assoc,
 		dir:     hybrid.NewDir[unisonWay](fastBlocks, assoc),
-		rep:     hybrid.LRU{},
+		rep:     rep,
 		rng:     sim.NewRNG(seed ^ 0x0550A11),
 		history: make(map[uint64]uint32),
 	}
-	cstats := stats.Scope("unison")
+	cstats := kit.Stats().Scope("unison")
 	u.accesses = cstats.Counter("accesses")
 	u.blockHits = cstats.Counter("blockHits")
 	u.subHits = cstats.Counter("subHits")
@@ -86,25 +74,13 @@ func NewUnison(fastBlocks uint64, assoc int, store *hybrid.Store, stats *sim.Sta
 	u.wayMispredicts = cstats.Counter("wayMispredicts")
 	u.writebacks = cstats.Counter("writebacks")
 	u.servedFast = cstats.Counter("servedFast")
-	u.eng.CountWritebacks(u.writebacks)
-	u.eng.InstrumentLatency(cstats)
+	u.Engine().CountWritebacks(u.writebacks)
+	u.Engine().InstrumentLatency(cstats)
 	return u
 }
 
 // Name identifies the design.
 func (u *Unison) Name() string { return "UnisonCache" }
-
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
-func (u *Unison) Engine() *hybrid.Engine { return u.eng }
-
-// Stats returns the counter collection.
-func (u *Unison) Stats() *sim.Stats { return u.stats }
-
-// FastDevice returns the DDR4 device model.
-func (u *Unison) FastDevice() *mem.Device { return u.eng.Fast() }
-
-// SlowDevice returns the NVM device model.
-func (u *Unison) SlowDevice() *mem.Device { return u.eng.Slow() }
 
 func (u *Unison) frameAddr(set uint64, way int) uint64 {
 	return (set*uint64(u.assoc) + uint64(way)) * hybrid.BlockSize
@@ -120,7 +96,7 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	setIdx := uint64(si)
 
 	if write {
-		u.store.WriteLine(addr, data)
+		u.Store.WriteLine(addr, data)
 	}
 
 	if w := u.dir.Lookup(si, block); w >= 0 {
@@ -135,17 +111,17 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 			t := now
 			if !u.rng.Bool(wayPredictAccuracy) {
 				u.wayMispredicts.Inc()
-				t = u.eng.FastRead(t, u.frameAddr(setIdx, w), 64)
+				t = u.Engine().FastRead(t, u.frameAddr(setIdx, w), 64)
 			}
 			if write {
 				way.dirty |= 1 << sub
-				u.eng.FillFast(t, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
+				u.Engine().FillFast(t, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
 				return hybrid.Result{Done: now}
 			}
-			done := u.eng.FastRead(t, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
+			done := u.Engine().FastRead(t, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
 			u.servedFast.Inc()
-			u.eng.ObserveFast(now, done, "subHit")
-			return hybrid.Result{Done: done, ServedByFast: true, Data: u.store.Line(addr)}
+			u.Engine().ObserveFast(now, done, "subHit")
+			return hybrid.Result{Done: done, ServedByFast: true, Data: u.Store.Line(addr)}
 		}
 		// Sub-block miss within an allocated block: fetch just the sub.
 		// The growing footprint feeds the class history incrementally so
@@ -155,26 +131,26 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 		u.classHistory[way.firstSub] = way.accessed
 		if write {
 			way.dirty |= 1 << sub
-			u.eng.FillFast(now, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
+			u.Engine().FillFast(now, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
 			return hybrid.Result{Done: now}
 		}
-		done := u.eng.SlowRead(now, addr, 64)
-		u.eng.ObserveSlow(now, done, "subMiss")
-		u.eng.FillFast(now, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
-		return hybrid.Result{Done: done, Data: u.store.Line(addr)}
+		done := u.Engine().SlowRead(now, addr, 64)
+		u.Engine().ObserveSlow(now, done, "subMiss")
+		u.Engine().FillFast(now, u.frameAddr(setIdx, w)+uint64(sub)*unisonSub, 64)
+		return hybrid.Result{Done: done, Data: u.Store.Line(addr)}
 	}
 
 	// Block miss: tags are embedded in DRAM, so discovering the miss costs
 	// one fast-memory probe; then allocate with the predicted footprint.
 	u.blockMisses.Inc()
-	probe := u.eng.FastRead(now, u.frameAddr(setIdx, 0), 64)
+	probe := u.Engine().FastRead(now, u.frameAddr(setIdx, 0), 64)
 	var res hybrid.Result
 	if write {
 		res = hybrid.Result{Done: now}
 	} else {
-		done := u.eng.SlowRead(probe, addr, 64)
-		u.eng.ObserveSlow(now, done, "blockMiss")
-		res = hybrid.Result{Done: done, Data: u.store.Line(addr)}
+		done := u.Engine().SlowRead(probe, addr, 64)
+		u.Engine().ObserveSlow(now, done, "blockMiss")
+		res = hybrid.Result{Done: done, Data: u.Store.Line(addr)}
 	}
 
 	victim := u.dir.Victim(si, u.rep)
@@ -184,7 +160,7 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 		u.history[vm.Key] = vw.accessed
 		u.classHistory[vw.firstSub] = vw.accessed
 		if vw.dirty != 0 {
-			u.eng.Writeback(now, vm.Key*hybrid.BlockSize, uint64(bits.OnesCount32(vw.dirty))*unisonSub)
+			u.Engine().Writeback(now, vm.Key*hybrid.BlockSize, uint64(bits.OnesCount32(vw.dirty))*unisonSub)
 		}
 	}
 
@@ -194,11 +170,11 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	}
 	footprint |= 1 << sub
 	n := uint64(bits.OnesCount32(footprint))
-	u.eng.FetchSlow(now, block*hybrid.BlockSize, n*unisonSub)
-	u.eng.FillFast(now, u.frameAddr(setIdx, victim), n*unisonSub)
+	u.Engine().FetchSlow(now, block*hybrid.BlockSize, n*unisonSub)
+	u.Engine().FillFast(now, u.frameAddr(setIdx, victim), n*unisonSub)
 	// Tags and footprint metadata are embedded in DRAM: allocations update
 	// them with an extra write (Unison's tag-update bandwidth).
-	u.eng.FillFast(now, u.frameAddr(setIdx, victim), 64)
+	u.Engine().FillFast(now, u.frameAddr(setIdx, victim), 64)
 	*vm = hybrid.WayMeta{Key: block, Valid: true, LastUse: u.seq}
 	*vw = unisonWay{present: footprint, accessed: 1 << sub, firstSub: uint8(sub)}
 	if write {
@@ -206,6 +182,3 @@ func (u *Unison) Access(now uint64, addr uint64, write bool, data []byte) hybrid
 	}
 	return res
 }
-
-// PeekLine implements hybrid.DataPeeker.
-func (u *Unison) PeekLine(addr uint64) []byte { return u.store.Line(addr) }

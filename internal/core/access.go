@@ -73,10 +73,10 @@ func (c *Controller) remapLookup(now uint64, super hybrid.SuperBlockID) uint64 {
 	if c.rcache.Lookup(uint64(super)) {
 		return t
 	}
-	t = c.eng.FastRead(t, c.tableBase+uint64(super)*16, 64)
+	t = c.Engine().FastRead(t, c.tableBase+uint64(super)*16, 64)
 	if c.rcache.Insert(uint64(super)) {
 		// Dirty victim line written back to the off-chip table.
-		c.eng.FillFast(now, c.tableBase+uint64(super)*16, 64)
+		c.Engine().FillFast(now, c.tableBase+uint64(super)*16, 64)
 	}
 	return t
 }
@@ -85,7 +85,7 @@ func (c *Controller) remapLookup(now uint64, super hybrid.SuperBlockID) uint64 {
 // cached, otherwise written through to the table in fast memory.
 func (c *Controller) metaUpdate(now uint64, super hybrid.SuperBlockID) {
 	if !c.rcache.MarkDirty(uint64(super)) {
-		c.eng.FillFast(now, c.tableBase+uint64(super)*16, 64)
+		c.Engine().FillFast(now, c.tableBase+uint64(super)*16, 64)
 	}
 }
 
@@ -109,7 +109,7 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 		}
 		// Writing non-zero data to an all-zero block: drop the zero
 		// descriptor and restage the written sub-block with real content.
-		c.store.WriteLine(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes+uint64(line)*64, data)
+		c.Store.WriteLine(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes+uint64(line)*64, data)
 		c.removeStageSlot(fr, slot)
 		c.stageInsertRange(now, ssi, sw, b, s, true)
 		return hybrid.Result{Done: now}
@@ -121,7 +121,7 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 
 	if !write {
 		devAddr := c.stageFrameAddr(ssi, sw, slot)
-		done := c.eng.FastRead(stageT, devAddr, c.readXferBytes(cf))
+		done := c.Engine().FastRead(stageT, devAddr, c.readXferBytes(cf))
 		if cf > 1 {
 			done += c.cfg.DecompressLatency
 			c.ctr.decompressions.Inc()
@@ -139,7 +139,7 @@ func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint6
 	copy(fr.data[slot][lineInRange*64:], data)
 	if c.rangeStillFits(fr.data[slot], cf) {
 		fr.tag.Slots[slot].Dirty = true
-		c.eng.FillFast(now, c.stageFrameAddr(ssi, sw, slot), 64)
+		c.Engine().FillFast(now, c.stageFrameAddr(ssi, sw, slot), 64)
 		return hybrid.Result{Done: now}
 	}
 	c.ctr.stageWriteOverflow.Inc()
@@ -212,7 +212,7 @@ func zeroLine() []byte { return zeroLineBuf[:] }
 // copyStoreLine copies the canonical content of one line into the
 // controller's line scratch, valid until the next Access.
 func (c *Controller) copyStoreLine(lineAddr uint64) []byte {
-	copy(c.lineScratch[:], c.store.Bytes(lineAddr, 64))
+	copy(c.lineScratch[:], c.Store.Bytes(lineAddr, 64))
 	return c.lineScratch[:]
 }
 
@@ -230,9 +230,9 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write
 	ri.z = false
 	ri.way = -1
 	c.metaUpdate(now, c.superOf(b))
-	c.store.WriteLine(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes+uint64(line)*64, data)
+	c.Store.WriteLine(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes+uint64(line)*64, data)
 	c.clearHints(b, s)
-	c.eng.WriteSlowBG(now, c.slowAddr(b, s), 64)
+	c.Engine().WriteSlowBG(now, c.slowAddr(b, s), 64)
 	return hybrid.Result{Done: now}
 }
 
@@ -255,7 +255,7 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 
 	if !write {
 		devAddr := c.frameAddr(si, int(ri.way), idx)
-		done := c.eng.FastRead(rmT, devAddr, c.readXferBytes(cf))
+		done := c.Engine().FastRead(rmT, devAddr, c.readXferBytes(cf))
 		if cf > 1 {
 			done += c.cfg.DecompressLatency
 			c.ctr.decompressions.Inc()
@@ -273,7 +273,7 @@ func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, li
 	copy(rg.data[lineInRange*64:], data)
 	if c.rangeStillFits(rg.data, cf) {
 		rg.dirty = true
-		c.eng.FillFast(now, c.frameAddr(si, int(ri.way), idx), 64)
+		c.Engine().FillFast(now, c.frameAddr(si, int(ri.way), idx), 64)
 		return hybrid.Result{Done: now}
 	}
 	c.ctr.fastOverflow.Inc()
@@ -288,12 +288,12 @@ func (c *Controller) caseFastSubMiss(now, rmT uint64, b uint64, s, line int, wri
 	lineAddr := b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*64
 	var res hybrid.Result
 	if write {
-		c.store.WriteLine(lineAddr, data)
+		c.Store.WriteLine(lineAddr, data)
 		c.clearHints(b, s)
-		c.eng.WriteSlowBG(now, c.slowAddr(b, s)+uint64(line)*64, 64)
+		c.Engine().WriteSlowBG(now, c.slowAddr(b, s)+uint64(line)*64, 64)
 		res = hybrid.Result{Done: now}
 	} else {
-		done := c.eng.SlowRead(rmT, c.slowAddr(b, s)+uint64(line)*64, 64)
+		done := c.Engine().SlowRead(rmT, c.slowAddr(b, s)+uint64(line)*64, 64)
 		c.ctr.servedSlow.Inc()
 		c.ctr.latSlowPath.Observe(done - now)
 		res = hybrid.Result{Done: done, Data: c.copyStoreLine(lineAddr)}
@@ -322,11 +322,11 @@ func (c *Controller) caseStageSubMiss(now, stageT uint64, ssi, sw int, b uint64,
 	lineAddr := b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*64
 	var res hybrid.Result
 	if write {
-		c.store.WriteLine(lineAddr, data)
+		c.Store.WriteLine(lineAddr, data)
 		c.clearHints(b, s)
 		res = hybrid.Result{Done: now}
 	} else {
-		done := c.eng.SlowRead(stageT, c.slowAddr(b, s)+uint64(line)*64, 64)
+		done := c.Engine().SlowRead(stageT, c.slowAddr(b, s)+uint64(line)*64, 64)
 		c.ctr.servedSlow.Inc()
 		c.ctr.latSlowPath.Observe(done - now)
 		res = hybrid.Result{Done: done, Data: c.copyStoreLine(lineAddr)}
@@ -346,11 +346,11 @@ func (c *Controller) caseBlockMiss(now, metaT uint64, ssi int, b uint64, s, line
 	lineAddr := b*c.geom.blockBytes + uint64(s)*c.geom.subBytes + uint64(line)*64
 	var res hybrid.Result
 	if write {
-		c.store.WriteLine(lineAddr, data)
+		c.Store.WriteLine(lineAddr, data)
 		c.clearHints(b, s)
 		res = hybrid.Result{Done: now}
 	} else {
-		done := c.eng.SlowRead(metaT, c.slowAddr(b, s)+uint64(line)*64, 64)
+		done := c.Engine().SlowRead(metaT, c.slowAddr(b, s)+uint64(line)*64, 64)
 		c.ctr.servedSlow.Inc()
 		c.ctr.latSlowPath.Observe(done - now)
 		res = hybrid.Result{Done: done, Data: c.copyStoreLine(lineAddr)}

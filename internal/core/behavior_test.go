@@ -19,7 +19,7 @@ func stormController(t *testing.T, cfg config.Config, accesses int, seed uint64)
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
 	})
-	c := New(cfg, store, sim.NewStats())
+	c := newCtrl(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(seed)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4
 	now := uint64(0)
@@ -135,7 +135,7 @@ func TestWriteOverflowEvictsWholeBlock(t *testing.T) {
 	cfg := testConfig()
 	store := hybrid.NewStore(nil) // all-zero: maximally compressible
 	cfg.ZeroBlockOpt = false      // force real CF-4 ranges, not Z entries
-	c := New(cfg, store, sim.NewStats())
+	c := newCtrl(cfg, store, sim.NewStats())
 
 	// Touch a block until staged and committed: read it, then storm other
 	// supers in the same stage set to force the commit.
@@ -225,7 +225,7 @@ func TestStageBreakdownImproves(t *testing.T) {
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
 	})
-	c := New(cfg, store, sim.NewStats())
+	c := newCtrl(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(82)
 	hotBlocks := cfg.OSBlocks() / 16
 	now := uint64(0)
@@ -270,7 +270,7 @@ func TestFlatModeInitialResidency(t *testing.T) {
 	cfg := testConfig()
 	cfg.Mode = config.ModeFlat
 	store := hybrid.NewStore(nil)
-	c := New(cfg, store, sim.NewStats())
+	c := newCtrl(cfg, store, sim.NewStats())
 	// Every flat-area frame starts holding its native block, fully present.
 	res := c.Access(0, 0, false, nil) // OS block 0 is fast-native
 	if !res.ServedByFast {

@@ -17,7 +17,7 @@ func BenchmarkAccess(b *testing.B) {
 	store := hybrid.NewStore(func(blk hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(blk), dst)
 	})
-	c := New(cfg, store, sim.NewStats())
+	c := newCtrl(cfg, store, sim.NewStats())
 	rng := sim.NewRNG(1)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4
 	data := make([]byte, 64)
@@ -40,7 +40,7 @@ func BenchmarkAccessHot(b *testing.B) {
 	cfg := testConfig()
 	store := hybrid.NewStore(nil)
 	cfg.ZeroBlockOpt = false
-	c := New(cfg, store, sim.NewStats())
+	c := newCtrl(cfg, store, sim.NewStats())
 	// Warm a small hot set.
 	for blk := uint64(0); blk < 32; blk++ {
 		for s := uint64(0); s < 4; s++ {

@@ -185,7 +185,7 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 		// Appending rewrites the frame's dense layout (a re-sort).
 		c.ctr.resortRewrites.Inc()
 		commitDone = maxU64(commitDone,
-			c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
+			c.Engine().FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
 	}
 	tm.LastUse = c.seq
 	tm.AllocSeq = c.seq
@@ -209,13 +209,13 @@ func (c *Controller) commitStageFrame(now uint64, ssi, w, si, targetW int, appen
 		fr.data[slot] = nil // ownership moved to the committed frame
 		// Traffic: stage read + cache/flat-area write, both in fast memory.
 		commitDone = maxU64(commitDone,
-			c.eng.ReadFastBG(now, c.stageFrameAddr(ssi, w, slot), c.geom.subBytes))
+			c.Engine().ReadFastBG(now, c.stageFrameAddr(ssi, w, slot), c.geom.subBytes))
 	}
 	sortOcc(target.occ)
 	commitDone = maxU64(commitDone,
-		c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
+		c.Engine().FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(target.occ))*c.geom.subBytes))
 	c.ctr.latCommit.Observe(commitDone - now)
-	if t := c.eng.Tracer(); t != nil {
+	if t := c.Engine().Tracer(); t != nil {
 		t.Span("commit", "", now, commitDone)
 	}
 
@@ -341,8 +341,8 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 		// committed blocks can return to their original slow locations
 		// costs one extra block move in slow memory.
 		c.ctr.swapThreeWay.Inc()
-		c.eng.FetchSlow(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
-		c.eng.WriteSlowBG(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
+		c.Engine().FetchSlow(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
+		c.Engine().WriteSlowBG(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
 	}
 
 	for i := range f.occ {
@@ -369,7 +369,7 @@ func (c *Controller) evictFastFrame(now uint64, si, way int) {
 	if nativeResident {
 		// Spread the native block into the freed slow sub-block spaces.
 		c.ctr.swapSpread.Inc()
-		c.eng.WriteSlowBG(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
+		c.Engine().WriteSlowBG(now, c.slowAddr(f.native, 0), c.geom.blockBytes)
 	}
 
 	// Clear the remap entries of every block that lived here, and recycle
@@ -421,7 +421,7 @@ func (c *Controller) evictCommittedBlock(now uint64, si, way int, b uint64, over
 	f.occ = kept
 	if moved > 0 {
 		c.ctr.resortRewrites.Inc()
-		c.eng.FillFast(now, c.frameAddr(si, way, 0), uint64(moved)*c.geom.subBytes)
+		c.Engine().FillFast(now, c.frameAddr(si, way, 0), uint64(moved)*c.geom.subBytes)
 	}
 	ri := &c.remap[b]
 	*ri = remapInfo{way: -1}
@@ -484,8 +484,8 @@ func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 	sortOcc(f.occ)
 	// Every insertion re-sorts the dense layout: rewrite the frame.
 	c.ctr.resortRewrites.Inc()
-	c.eng.FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)
-	c.eng.FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(f.occ))*c.geom.subBytes)
+	c.Engine().FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)
+	c.Engine().FillFast(now, c.frameAddr(si, targetW, 0), uint64(len(f.occ))*c.geom.subBytes)
 	c.rebuildRemap(si, targetW)
 	c.metaUpdate(now, super)
 }
@@ -525,8 +525,8 @@ func (c *Controller) directInsertSub(now uint64, b uint64, s int, dirty bool) {
 	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty, data: c.rangeContent(b, start, cf)})
 	sortOcc(f.occ)
 	c.ctr.resortRewrites.Inc()
-	c.eng.FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)
-	c.eng.FillFast(now, c.frameAddr(si, int(ri.way), 0), uint64(len(f.occ))*c.geom.subBytes)
+	c.Engine().FetchSlow(now, c.slowAddr(b, start), uint64(cf)*c.geom.subBytes)
+	c.Engine().FillFast(now, c.frameAddr(si, int(ri.way), 0), uint64(len(f.occ))*c.geom.subBytes)
 	c.rebuildRemap(si, int(ri.way))
 	c.metaUpdate(now, super)
 }

@@ -12,9 +12,7 @@ import (
 	"baryon/internal/compress"
 	"baryon/internal/config"
 	"baryon/internal/hybrid"
-	"baryon/internal/mem"
 	"baryon/internal/metadata"
-	"baryon/internal/obs"
 	"baryon/internal/sim"
 )
 
@@ -83,9 +81,7 @@ type Controller struct {
 	comp *compress.Compressor
 	rng  *sim.RNG
 
-	eng *hybrid.Engine
-
-	store *hybrid.Store // canonical content of every OS block
+	hybrid.Kit
 
 	fastDir *hybrid.Dir[fastFrame]
 	fastRep hybrid.Replacer
@@ -104,8 +100,7 @@ type Controller struct {
 
 	seq uint64 // monotonic sequence for LRU/FIFO ordering
 
-	stats *sim.Stats
-	ctr   counters
+	ctr counters
 
 	instr Instrumentation
 
@@ -178,15 +173,14 @@ type counters struct {
 	latCommit, latWriteback              *sim.Histogram
 }
 
-// New builds a Baryon controller over the canonical store. The store must
-// outlive the controller; stats receives all counters.
-func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
+// New builds a Baryon controller on kit, whose engine must have been built
+// from cfg's tier list and whose store must outlive the controller.
+func New(cfg config.Config, kit hybrid.Kit) *Controller {
 	c := &Controller{
-		cfg:   cfg,
-		comp:  &compress.Compressor{Aligned: cfg.CachelineAligned, WithCPack: cfg.UseCPack},
-		rng:   sim.NewRNG(cfg.Seed ^ 0xBA51C0DE),
-		store: store,
-		stats: stats,
+		cfg:  cfg,
+		comp: &compress.Compressor{Aligned: cfg.CachelineAligned, WithCPack: cfg.UseCPack},
+		rng:  sim.NewRNG(cfg.Seed ^ 0xBA51C0DE),
+		Kit:  kit,
 	}
 	g := &c.geom
 	g.blockBytes = cfg.BlockBytes
@@ -199,15 +193,6 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	g.stageWays = 4
 	g.osBlocks = cfg.OSBlocks()
 	g.fastBlocks = cfg.FastBlocks()
-
-	// The tier list comes from the config (empty Tiers canonicalizes to the
-	// classic DDR4-over-SlowMemory pair). A resolve error here is a
-	// programming error: user-facing paths run Config.Validate first.
-	specs, err := cfg.TierSpecs()
-	if err != nil {
-		panic(err)
-	}
-	c.eng = hybrid.NewEngine(specs, stats)
 
 	c.fastDir = hybrid.NewDirSets[fastFrame](g.sets, g.ways)
 	c.fastRep = hybrid.Replacer(hybrid.LRU{})
@@ -226,7 +211,7 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 	}
 	c.cf2Hint = make([]uint8, g.osBlocks)
 	c.cf4Hint = make([]uint8, g.osBlocks)
-	c.rcache = metadata.NewRemapCache(cfg.RemapCacheSets, cfg.RemapCacheWays, stats.Scope("remapCache"))
+	c.rcache = metadata.NewRemapCache(cfg.RemapCacheSets, cfg.RemapCacheWays, kit.Stats().Scope("remapCache"))
 
 	c.stageBase = g.fastBlocks * g.blockBytes
 	c.tableBase = c.stageBase + cfg.StageBlocks()*g.blockBytes
@@ -239,7 +224,7 @@ func New(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
 }
 
 func (c *Controller) initCounters() {
-	s := c.stats.Scope("baryon")
+	s := c.Stats().Scope("baryon")
 	c.ctr = counters{
 		accesses:             s.Counter("accesses"),
 		reads:                s.Counter("reads"),
@@ -272,18 +257,14 @@ func (c *Controller) initCounters() {
 	// histogram precedes the engine's fastHit/slowPath pair, commit and
 	// writeback follow.
 	c.ctr.latStageHit = s.Histogram("lat.stageHit")
-	c.ctr.latFastHit, c.ctr.latSlowPath = c.eng.InstrumentLatency(s)
+	c.ctr.latFastHit, c.ctr.latSlowPath = c.Engine().InstrumentLatency(s)
 	c.ctr.latCommit = s.Histogram("lat.commit")
 	c.ctr.latWriteback = s.Histogram("lat.writeback")
 }
 
-// SetTracer attaches a request-lifecycle tracer to the controller and its
-// devices. Nil detaches.
-func (c *Controller) SetTracer(t *obs.Tracer) { c.eng.SetTracer(t) }
-
 // traceDecision records the controller's access-flow case for the current
 // sampled request as an instant event (no-op when tracing is off).
-func (c *Controller) traceDecision(now uint64, cat string) { c.eng.Decision(now, cat) }
+func (c *Controller) traceDecision(now uint64, cat string) { c.Engine().Decision(now, cat) }
 
 // initFlatResidents fills every flat-area frame with its native OS block,
 // fully present and uncompressed (the paper's flat mode places blocks in
@@ -337,7 +318,7 @@ func (c *Controller) blockID(super hybrid.SuperBlockID, blkOff uint8) uint64 {
 
 // slowSub returns the canonical content of sub-block s of block b.
 func (c *Controller) slowSub(b uint64, s int) []byte {
-	return c.store.Bytes(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes, int(c.geom.subBytes))
+	return c.Store.Bytes(b*c.geom.blockBytes+uint64(s)*c.geom.subBytes, int(c.geom.subBytes))
 }
 
 // slowAddr maps block b to a slow-device address for timing purposes.
@@ -358,9 +339,6 @@ func (c *Controller) stageFrameAddr(setIdx, way, slot int) uint64 {
 	return c.stageBase + frame*c.geom.blockBytes + uint64(slot)*c.geom.subBytes
 }
 
-// Engine returns the shared migration/writeback engine (hybrid.EngineProvider).
-func (c *Controller) Engine() *hybrid.Engine { return c.eng }
-
 // Name identifies the configuration for reports.
 func (c *Controller) Name() string {
 	switch {
@@ -373,9 +351,6 @@ func (c *Controller) Name() string {
 	}
 }
 
-// Stats returns the controller's counters.
-func (c *Controller) Stats() *sim.Stats { return c.stats }
-
 // MeanRangeCF returns the average quantised compression factor of staged
 // ranges (the Fig. 12 metric), read through the controller's typed counter
 // handles.
@@ -386,12 +361,6 @@ func (c *Controller) MeanRangeCF() float64 {
 // RemapCacheHitRate returns the remap cache's hit rate (Section III-B
 // sizing claim).
 func (c *Controller) RemapCacheHitRate() float64 { return c.rcache.HitRate() }
-
-// FastDevice and SlowDevice expose the devices for traffic/energy reports.
-func (c *Controller) FastDevice() *mem.Device { return c.eng.Fast() }
-
-// SlowDevice returns the slow-memory device model.
-func (c *Controller) SlowDevice() *mem.Device { return c.eng.Slow() }
 
 // AddInstructions advances the retired-instruction clock used by MPKI
 // statistics (called by the CPU runner).

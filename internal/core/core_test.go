@@ -22,6 +22,15 @@ func testConfig() config.Config {
 	return c
 }
 
+// newCtrl builds a controller on the kit over cfg's device topology.
+func newCtrl(cfg config.Config, store *hybrid.Store, stats *sim.Stats) *Controller {
+	specs, err := cfg.TierSpecs()
+	if err != nil {
+		panic(err)
+	}
+	return New(cfg, hybrid.NewKit(specs, store, stats))
+}
+
 // refModel is the functional reference: the latest value of every line.
 type refModel struct {
 	mix    datagen.Mix
@@ -58,7 +67,7 @@ func runIntegrity(t *testing.T, cfg config.Config, accesses int, seed uint64) *C
 		datagen.Filler(mix)(uint64(b), dst)
 	})
 	stats := sim.NewStats()
-	c := New(cfg, store, stats)
+	c := newCtrl(cfg, store, stats)
 	ref := newRef(mix)
 	rng := sim.NewRNG(seed)
 
@@ -200,7 +209,7 @@ func TestZeroBlockService(t *testing.T) {
 	cfg := testConfig()
 	store := hybrid.NewStore(nil) // zero fill
 	stats := sim.NewStats()
-	c := New(cfg, store, stats)
+	c := newCtrl(cfg, store, stats)
 	now := uint64(0)
 	for i := 0; i < 5000; i++ {
 		addr := uint64(i%512) * 64
@@ -257,7 +266,7 @@ func TestNameVariants(t *testing.T) {
 	for _, tc := range cases {
 		cfg := testConfig()
 		tc.mut(&cfg)
-		c := New(cfg, hybrid.NewStore(nil), sim.NewStats())
+		c := newCtrl(cfg, hybrid.NewStore(nil), sim.NewStats())
 		if got := c.Name(); got != tc.want {
 			t.Errorf("Name()=%q, want %q", got, tc.want)
 		}
@@ -283,7 +292,7 @@ func TestTableIBudgets(t *testing.T) {
 }
 
 func ExampleController_Name() {
-	c := New(testConfig(), hybrid.NewStore(nil), sim.NewStats())
+	c := newCtrl(testConfig(), hybrid.NewStore(nil), sim.NewStats())
 	fmt.Println(c.Name())
 	// Output: Baryon
 }

@@ -41,7 +41,7 @@ func (c *Controller) PeekLine(addr uint64) []byte {
 		lineInRange := (s-int(rg.subOff))*c.geom.linesPerSub + line
 		return rg.data[lineInRange*64 : lineInRange*64+64]
 	}
-	return c.store.Bytes(addr, 64)
+	return c.Store.Bytes(addr, 64)
 }
 
 // CheckInvariants validates the structural rules on demand (tests call this

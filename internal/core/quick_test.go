@@ -20,7 +20,7 @@ func integrityErr(cfg config.Config, accesses int, seed uint64) error {
 	store := hybrid.NewStore(func(b hybrid.BlockID, dst *[hybrid.BlockSize]byte) {
 		datagen.Filler(mix)(uint64(b), dst)
 	})
-	c := New(cfg, store, sim.NewStats())
+	c := newCtrl(cfg, store, sim.NewStats())
 	ref := newRef(mix)
 	rng := sim.NewRNG(seed)
 	footprint := cfg.OSBlocks() * cfg.BlockBytes / 4

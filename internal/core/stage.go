@@ -106,9 +106,9 @@ func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int, cont
 		}
 		c.ctr.compressedWritebacks.Inc()
 	}
-	wbDone := c.eng.WriteSlowBG(now, c.slowAddr(b, subOff), bytes)
+	wbDone := c.Engine().WriteSlowBG(now, c.slowAddr(b, subOff), bytes)
 	c.ctr.latWriteback.Observe(wbDone - now)
-	if t := c.eng.Tracer(); t != nil {
+	if t := c.Engine().Tracer(); t != nil {
 		t.Span("writeback", "", now, wbDone)
 	}
 }
@@ -286,9 +286,9 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 		fetch = c.geom.subBytes
 	}
 	if fetch > 64 {
-		c.eng.FetchSlow(now, c.slowAddr(b, start), fetch-64) // demanded line already charged
+		c.Engine().FetchSlow(now, c.slowAddr(b, start), fetch-64) // demanded line already charged
 	}
-	c.eng.FillFast(now, c.stageFrameAddr(ssi, sw, slot), c.geom.subBytes)
+	c.Engine().FillFast(now, c.stageFrameAddr(ssi, sw, slot), c.geom.subBytes)
 }
 
 // stageFullSlot resolves a full target frame with the two-level policy of
@@ -325,7 +325,8 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 
 	// Move b's ranges to the new frame to keep Rule 3 (the move also gives
 	// re-grouping a chance to reduce fragmentation, as the paper notes).
-	// Slots are scanned in ascending order, matching BlockRanges.
+	// Slots are scanned in ascending order, so the ranges keep their
+	// relative order in the new frame.
 	slot := 0
 	for oldSlot := range old.tag.Slots {
 		if r := old.tag.Slots[oldSlot]; !r.Valid || int(r.BlkOff) != blkOff {
@@ -336,7 +337,7 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 		old.data[oldSlot] = nil // ownership moved; removeStageSlot must not recycle
 		c.removeStageSlot(old, oldSlot)
 		// Intra-fast-memory move traffic.
-		c.eng.FillFast(now, c.stageFrameAddr(ssi, lru, slot), c.geom.subBytes)
+		c.Engine().FillFast(now, c.stageFrameAddr(ssi, lru, slot), c.geom.subBytes)
 		slot++
 	}
 	*sw = lru

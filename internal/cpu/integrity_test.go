@@ -60,7 +60,7 @@ func smallIntegrityConfig() config.Config {
 
 func TestEndToEndIntegrityBaryon(t *testing.T) {
 	factory := func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-		return core.New(cfg, store, stats)
+		return core.New(cfg, mustKit(cfg, store, stats))
 	}
 	for _, wname := range []string{"505.mcf_r", "519.lbm_r", "YCSB-A"} {
 		t.Run(wname, func(t *testing.T) {
@@ -73,7 +73,7 @@ func TestEndToEndIntegrityDetailedDDR(t *testing.T) {
 	cfg := smallIntegrityConfig()
 	cfg.DetailedDDR = true
 	factory := func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-		return core.New(cfg, store, stats)
+		return core.New(cfg, mustKit(cfg, store, stats))
 	}
 	endToEndIntegrity(t, cfg, factory, "549.fotonik3d_r")
 }
@@ -83,38 +83,37 @@ func TestEndToEndIntegrityBaryonFlat(t *testing.T) {
 	cfg.Mode = config.ModeFlat
 	cfg.FullyAssociative = true
 	factory := func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-		return core.New(cfg, store, stats)
+		return core.New(cfg, mustKit(cfg, store, stats))
 	}
 	endToEndIntegrity(t, cfg, factory, "520.omnetpp_r")
 }
 
-// mustTiers resolves cfg's device topology for the baselines' tiers
-// argument.
-func mustTiers(cfg config.Config) []hybrid.TierSpec {
+// mustKit builds the controller kit over cfg's device topology.
+func mustKit(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Kit {
 	specs, err := cfg.TierSpecs()
 	if err != nil {
 		panic(err)
 	}
-	return specs
+	return hybrid.NewKit(specs, store, stats)
 }
 
 func TestEndToEndIntegrityBaselines(t *testing.T) {
 	cfg := smallIntegrityConfig()
 	factories := map[string]ControllerFactory{
 		"simple": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, mustTiers(cfg))
+			return baselines.NewSimple(mustKit(cfg, store, stats), cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, hybrid.LRU{})
 		},
 		"unison": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, mustTiers(cfg))
+			return baselines.NewUnison(mustKit(cfg, store, stats), cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, hybrid.LRU{}, cfg.Seed)
 		},
 		"dice": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, mustTiers(cfg))
+			return baselines.NewDICE(mustKit(cfg, store, stats), cfg.FastBytes, cfg.DecompressLatency)
 		},
 		"hybrid2": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewHybrid2(cfg, store, stats)
+			return baselines.NewHybrid2(cfg, mustKit(cfg, store, stats))
 		},
 		"ospaging": func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-			return baselines.NewOSPaging(cfg.FastBytes, store, stats, mustTiers(cfg))
+			return baselines.NewOSPaging(mustKit(cfg, store, stats), cfg.FastBytes)
 		},
 	}
 	for name, f := range factories {

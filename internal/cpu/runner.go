@@ -24,8 +24,8 @@ import (
 // nonMemIPC is the retire rate of non-memory instructions.
 const nonMemIPC = 2.0
 
-// DeviceProvider exposes the two memory devices for traffic/energy reports;
-// every controller in this repository implements it.
+// DeviceProvider exposes the classic fast/slow device pair; every controller
+// in this repository implements it through hybrid.Kit.
 type DeviceProvider interface {
 	FastDevice() *mem.Device
 	SlowDevice() *mem.Device
@@ -525,32 +525,27 @@ func (r *Runner) windowSince(m mark, st *runState) Window {
 	}
 	demandLat := m.snap.DeltaOfHist(hc.DemandLat)
 	w.MemLat = demandLat.Summary()
-	if dp, ok := r.ctrl.(DeviceProvider); ok {
-		fc := dp.FastDevice().Counters()
-		sc := dp.SlowDevice().Counters()
-		w.FastBytes = m.snap.DeltaOf(fc.BytesRead) + m.snap.DeltaOf(fc.BytesWritten)
-		w.SlowBytes = m.snap.DeltaOf(sc.BytesRead) + m.snap.DeltaOf(sc.BytesWritten)
-		w.EnergyPJ = m.snap.DeltaOfFloat(fc.EnergyPJ) + m.snap.DeltaOfFloat(sc.EnergyPJ)
-		useful := m.snap.DeltaOf(hc.LLCMisses) * hybrid.CachelineSize
-		w.BloatFactor = sim.Ratio(w.FastBytes, useful)
-	}
 	if ep, ok := r.ctrl.(hybrid.EngineProvider); ok {
 		tiers := ep.Engine().Tiers()
 		if len(tiers) > 2 {
 			// Beyond two tiers the fast/slow pair under-reports: break
-			// traffic down per tier and fold every far tier (and its
-			// energy) into the far-side aggregates.
+			// traffic down per tier as well.
 			w.TierBytes = make([]uint64, len(tiers))
 		}
+		// Tier 0 is fast memory and every far tier folds into SlowBytes;
+		// energy sums in tier order.
 		for i, t := range tiers {
 			tc := t.Device().Counters()
-			if w.TierBytes != nil {
-				w.TierBytes[i] = m.snap.DeltaOf(tc.BytesRead) + m.snap.DeltaOf(tc.BytesWritten)
-				if i >= 2 {
-					w.SlowBytes += w.TierBytes[i]
-					w.EnergyPJ += m.snap.DeltaOfFloat(tc.EnergyPJ)
-				}
+			bytes := m.snap.DeltaOf(tc.BytesRead) + m.snap.DeltaOf(tc.BytesWritten)
+			if i == 0 {
+				w.FastBytes = bytes
+			} else {
+				w.SlowBytes += bytes
 			}
+			if w.TierBytes != nil {
+				w.TierBytes[i] = bytes
+			}
+			w.EnergyPJ += m.snap.DeltaOfFloat(tc.EnergyPJ)
 			// The link/internal split exists at any tier count — a two-tier
 			// topology can already put its far tier behind a CXL link.
 			if tc.CXLLinkBytes != nil {
@@ -558,6 +553,8 @@ func (r *Runner) windowSince(m mark, st *runState) Window {
 				w.CXLInternalBytes += m.snap.DeltaOf(tc.CXLInternalBytes)
 			}
 		}
+		useful := m.snap.DeltaOf(hc.LLCMisses) * hybrid.CachelineSize
+		w.BloatFactor = sim.Ratio(w.FastBytes, useful)
 	}
 	return w
 }

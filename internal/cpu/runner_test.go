@@ -22,7 +22,11 @@ func smallConfig() config.Config {
 }
 
 func baryonFactory(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-	return core.New(cfg, store, stats)
+	specs, err := cfg.TierSpecs()
+	if err != nil {
+		panic(err)
+	}
+	return core.New(cfg, hybrid.NewKit(specs, store, stats))
 }
 
 func TestRunnerEndToEnd(t *testing.T) {

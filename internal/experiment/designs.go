@@ -67,7 +67,7 @@ const (
 
 // PolicySpec holds controller policy knobs that are not Config fields.
 type PolicySpec struct {
-	// Replacement selects the replacement policy for kinds that expose one
+	// Replacement selects the replacement policy for kinds that take one
 	// (simple, unison): "", "lru", "fifo", "random" or "two-level". Empty
 	// keeps the kind's default.
 	Replacement string `json:"replacement,omitempty"`
@@ -268,72 +268,56 @@ func ValidateSpec(spec DesignSpec, cfg config.Config) error {
 	return nil
 }
 
-// FactorySpec returns the controller factory for a spec: it applies the
-// spec's config overrides, builds the kind's controller on the shared kit,
-// applies the policy knobs, and arms fault injection when the (overridden)
-// config asks for it. The panics below are programmer-error invariants —
-// ValidateSpec rejects every user-reachable bad spec first —
-// and the harness's per-pair panic isolation contains them regardless.
+// FactorySpec returns the controller factory for a spec, the one place a
+// controller is assembled: overrides, kit, content probe, the kind's
+// controller with the spec's policy, then faults when the config asks. The
+// panics below are programmer-error invariants — ValidateSpec rejects every
+// user-reachable bad spec first — and the harness's per-pair panic
+// isolation contains them regardless.
 func FactorySpec(spec DesignSpec) cpu.ControllerFactory {
 	return func(cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
 		if err := spec.Overrides.Apply(&cfg); err != nil {
 			panic("experiment: design " + spec.Name + ": " + err.Error())
 		}
-		ctrl := buildKind(spec, cfg, store, stats)
-		if spec.Policy.Replacement != "" {
-			applyReplacement(spec, ctrl, cfg.Seed)
+		// An empty Tiers section yields the canonical two-tier list (DDR4
+		// over the SlowMemory preset).
+		tiers, err := cfg.TierSpecs()
+		if err != nil {
+			panic("experiment: design " + spec.Name + ": " + err.Error())
 		}
-		if ep, ok := ctrl.(hybrid.EngineProvider); ok {
-			if cfg.Fault.Enabled() {
-				ep.Engine().EnableFaults(cfg.Fault, cfg.Seed)
-			}
-			// CXL expander-side compression estimates over the canonical
-			// store content; on topologies without a CXL tier the probe is
-			// never consulted and the attach is a no-op.
-			ep.Engine().SetContentProbe(func(addr, size uint64) []byte {
-				return store.Line(addr)
-			})
+		kit := hybrid.NewKit(tiers, store, stats)
+		// CXL expander-side compression estimates over the canonical store
+		// content; on topologies without a CXL tier the probe is never
+		// consulted and the attach is a no-op.
+		kit.Engine().SetContentProbe(func(addr, size uint64) []byte {
+			return store.Line(addr)
+		})
+		rep, ok := hybrid.ReplacerByName(spec.Policy.Replacement, cfg.Seed)
+		if !ok {
+			panic("experiment: design " + spec.Name + ": unknown replacement policy " + spec.Policy.Replacement)
+		}
+		var ctrl hybrid.Controller
+		switch spec.Kind {
+		case KindSimple:
+			ctrl = baselines.NewSimple(kit, cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep)
+		case KindUnison:
+			ctrl = baselines.NewUnison(kit, cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, rep, cfg.Seed)
+		case KindDICE:
+			ctrl = baselines.NewDICE(kit, cfg.FastBytes, cfg.DecompressLatency)
+		case KindBaryon:
+			ctrl = core.New(cfg, kit)
+		case KindHybrid2:
+			ctrl = baselines.NewHybrid2(cfg, kit)
+		case KindOSPaging:
+			ctrl = baselines.NewOSPaging(kit, cfg.FastBytes)
+		default:
+			panic("experiment: unknown kind " + spec.Kind)
+		}
+		// Faults are armed after the controller registers its counters:
+		// registration order is the order a registry lists them in.
+		if cfg.Fault.Enabled() {
+			kit.Engine().EnableFaults(cfg.Fault, cfg.Seed)
 		}
 		return ctrl
 	}
-}
-
-func buildKind(spec DesignSpec, cfg config.Config, store *hybrid.Store, stats *sim.Stats) hybrid.Controller {
-	// The tier list reaches every kind: Baryon/Hybrid2 resolve it inside
-	// core.New from the config; the other baselines take it directly. An
-	// empty Tiers section yields the canonical two-tier list (DDR4 over the
-	// SlowMemory preset).
-	tiers, err := cfg.TierSpecs()
-	if err != nil {
-		panic("experiment: design " + spec.Name + ": " + err.Error())
-	}
-	switch spec.Kind {
-	case KindSimple:
-		return baselines.NewSimple(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, tiers)
-	case KindUnison:
-		return baselines.NewUnison(cfg.FastBytes/hybrid.BlockSize, cfg.Assoc, store, stats, cfg.Seed, tiers)
-	case KindDICE:
-		return baselines.NewDICE(cfg.FastBytes, store, stats, cfg.DecompressLatency, tiers)
-	case KindBaryon:
-		return core.New(cfg, store, stats)
-	case KindHybrid2:
-		return baselines.NewHybrid2(cfg, store, stats)
-	case KindOSPaging:
-		return baselines.NewOSPaging(cfg.FastBytes, store, stats, tiers)
-	}
-	panic("experiment: unknown kind " + spec.Kind)
-}
-
-// applyReplacement wires the spec's replacement policy into controllers
-// that expose one via SetReplacer.
-func applyReplacement(spec DesignSpec, ctrl hybrid.Controller, seed uint64) {
-	r, ok := hybrid.ReplacerByName(spec.Policy.Replacement, seed)
-	if !ok {
-		panic("experiment: design " + spec.Name + ": unknown replacement policy " + spec.Policy.Replacement)
-	}
-	s, ok := ctrl.(interface{ SetReplacer(hybrid.Replacer) })
-	if !ok {
-		panic("experiment: design " + spec.Name + ": kind " + spec.Kind + " has no replacement-policy knob")
-	}
-	s.SetReplacer(r)
 }

@@ -74,9 +74,6 @@ func (d *Dir[P]) SetMeta(si int) []WayMeta {
 	return d.meta[base : base+d.assoc]
 }
 
-// Meta returns the metadata of way w of set si.
-func (d *Dir[P]) Meta(si, w int) *WayMeta { return &d.meta[si*d.assoc+w] }
-
 // Payload returns the payload of way w of set si.
 func (d *Dir[P]) Payload(si, w int) *P { return &d.payload[si*d.assoc+w] }
 

@@ -166,9 +166,6 @@ func (e *Engine) EnableFaults(fc fault.Config, seed uint64) {
 	}
 }
 
-// FaultsEnabled reports whether the degradation path is armed.
-func (e *Engine) FaultsEnabled() bool { return e.faultsOn }
-
 // SetContentProbe attaches a content probe, addressed canonically, to every
 // tier device: each tier's probe re-adds its base so a CXL expander's
 // compression estimator sees the bytes actually stored at the canonical
@@ -268,12 +265,6 @@ func (e *Engine) Decision(now uint64, cat string) {
 		e.tracer.Instant("decision", cat, now)
 	}
 }
-
-// LatFast records the end-to-end latency of a read served by the fast tier.
-func (e *Engine) LatFast(now, done uint64) { e.latFast.Observe(done - now) }
-
-// LatSlow records the end-to-end latency of a read served by the far path.
-func (e *Engine) LatSlow(now, done uint64) { e.latSlow.Observe(done - now) }
 
 // ObserveFast records a fast-tier read: latency histogram plus the decision
 // instant (cat names the controller's case, e.g. "hit", "subHit").

@@ -2,8 +2,11 @@
 // shares: the address geometry of the baseline hybrid memory system
 // (Section III-A of the paper — 2 kB blocks, 256 B sub-blocks, 16 kB
 // super-blocks, set-associative fast memory), the controller interface the
-// CPU cache hierarchy drives, and the physical slow-memory backing store
-// that holds canonical data bytes.
+// CPU cache hierarchy drives, the physical slow-memory backing store that
+// holds canonical data bytes, and the controller kit: the tag directory
+// (Dir), the replacement policies (Replacer), the migration/writeback
+// engine over the memory tiers (Engine) and Kit, the engine, store and
+// registry bundle every controller embeds.
 package hybrid
 
 import "baryon/internal/sim"
@@ -103,9 +106,9 @@ type Controller interface {
 }
 
 // EngineProvider is implemented by controllers built on the shared
-// migration/writeback Engine. It lets run setup reach the engine for
-// cross-cutting concerns — fault injection, tracing — without knowing the
-// concrete controller type.
+// migration/writeback Engine (every Kit-embedding controller). The CPU
+// runner reads the engine's tier list through it for traffic and energy
+// reports without knowing the concrete controller type.
 type EngineProvider interface {
 	Engine() *Engine
 }

@@ -122,15 +122,13 @@ type Device struct {
 	engine   *DDREngine
 	channels []channel
 
-	reads, writes              *sim.Counter
-	bytesRead, bytesWritten    *sim.Counter
-	rowHits, rowMisses         *sim.Counter
-	energy                     *sim.FloatAccum
-	readLat                    *sim.Counter
-	queueHist, svcHist         *sim.Histogram
-	tracer                     *obs.Tracer
-	maxQueueing                uint64
-	dbgChan, dbgBank, dbgSpill uint64
+	reads, writes           *sim.Counter
+	bytesRead, bytesWritten *sim.Counter
+	rowHits, rowMisses      *sim.Counter
+	energy                  *sim.FloatAccum
+	readLat                 *sim.Counter
+	queueHist, svcHist      *sim.Histogram
+	tracer                  *obs.Tracer
 
 	// faults, when non-nil, injects read faults and tracks write wear; the
 	// outcome of the last demand access is kept for the engine's
@@ -384,23 +382,17 @@ func (d *Device) access(now uint64, addr uint64, size uint64, write bool) uint64
 	start := float64(now)
 	if ch.freeAt > start {
 		start = ch.freeAt
-		d.dbgChan++
 	}
 	// A saturated background queue spills onto the demand path.
 	if ch.bgBytes > bgHighWater {
 		spill := (ch.bgBytes - bgHighWater) / d.cfg.BytesPerCycle
 		start += spill
 		ch.bgBytes = bgHighWater
-		d.dbgSpill += uint64(spill)
 	}
 	if float64(bk.busyUntil) > start {
 		start = float64(bk.busyUntil)
-		d.dbgBank++
 	}
 	queue := uint64(start) - now
-	if queue > d.maxQueueing {
-		d.maxQueueing = queue
-	}
 	d.queueHist.Observe(queue)
 
 	lat := d.cfg.RowHitLatency
@@ -465,14 +457,8 @@ func (d *Device) EnergyPJ() float64 { return d.energy.Value() }
 // TotalBytes returns the total bytes moved in either direction.
 func (d *Device) TotalBytes() uint64 { return d.bytesRead.Value() + d.bytesWritten.Value() }
 
-// AvgReadLatency returns the mean observed read latency in cycles.
-func (d *Device) AvgReadLatency() float64 {
-	return sim.Ratio(d.readLat.Value(), d.reads.Value())
-}
-
-// Reset clears all timing state and the non-registry accumulators. The
-// traffic/energy/latency counters live on the run's Stats registry and are
-// reset there (Stats.Reset on the device's scope).
+// Reset clears all timing state. The traffic/energy/latency counters live
+// on the run's Stats registry and are left as they are.
 func (d *Device) Reset() {
 	for i := range d.channels {
 		d.channels[i].freeAt = 0
@@ -481,8 +467,6 @@ func (d *Device) Reset() {
 			d.channels[i].banks[j] = bank{}
 		}
 	}
-	d.maxQueueing = 0
-	d.dbgChan, d.dbgBank, d.dbgSpill = 0, 0, 0
 	d.lastFault = fault.None
 	if d.link != nil {
 		d.link.freeAt = 0
@@ -532,9 +516,3 @@ func (d *Device) accessDetailed(now uint64, addr uint64, size uint64, write bool
 	}
 	return done
 }
-
-// MaxQueueing returns the worst demand-access queueing delay observed.
-func (d *Device) MaxQueueing() uint64 { return d.maxQueueing }
-
-// DebugQueueing reports (channel-queued count, bank-queued count, total spill cycles).
-func (d *Device) DebugQueueing() (uint64, uint64, uint64) { return d.dbgChan, d.dbgBank, d.dbgSpill }

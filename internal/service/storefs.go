@@ -80,7 +80,6 @@ type FaultFS struct {
 
 	mu   sync.Mutex
 	fail map[string]error
-	ops  map[string]int
 }
 
 // Fail arms op: every subsequent call of that operation returns err.
@@ -103,21 +102,10 @@ func (f *FaultFS) Heal(op string) {
 	delete(f.fail, op)
 }
 
-// Ops reports how many calls of op were attempted (failed or not).
-func (f *FaultFS) Ops(op string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ops[op]
-}
-
-// check counts the attempt and returns the armed error, if any.
+// check returns the armed error for op, if any.
 func (f *FaultFS) check(op string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.ops == nil {
-		f.ops = make(map[string]int)
-	}
-	f.ops[op]++
 	return f.fail[op]
 }
 

@@ -276,9 +276,4 @@ func TestStatsHistogramRegistry(t *testing.T) {
 	if len(names) != 2 || names[0] != "dev.lat.queue" || names[1] != "alat" {
 		t.Fatalf("HistNames() = %v, want registration order", names)
 	}
-	h1.Observe(10)
-	st.Reset()
-	if h1.Count() != 0 || h1.Max() != 0 || h1.Percentile(50) != 0 {
-		t.Fatalf("Reset left data: count=%d max=%d", h1.Count(), h1.Max())
-	}
 }

@@ -114,10 +114,6 @@ func TestStatsCounters(t *testing.T) {
 	if s.Get("missing") != 0 {
 		t.Fatal("missing counter nonzero")
 	}
-	s.Reset()
-	if s.Get("a") != 0 {
-		t.Fatal("reset failed")
-	}
 	if names := s.Names(); len(names) != 1 || names[0] != "a" {
 		t.Fatalf("names=%v", names)
 	}

@@ -190,26 +190,6 @@ func (s *Stats) FloatNames() []string {
 	return out
 }
 
-// Reset zeroes every counter, accumulator and histogram visible to this
-// view but keeps the registrations.
-func (s *Stats) Reset() {
-	for name, c := range s.reg.counters {
-		if strings.HasPrefix(name, s.prefix) {
-			c.v = 0
-		}
-	}
-	for name, f := range s.reg.floats {
-		if strings.HasPrefix(name, s.prefix) {
-			f.v = 0
-		}
-	}
-	for name, h := range s.reg.hists {
-		if strings.HasPrefix(name, s.prefix) {
-			*h = Histogram{name: h.name}
-		}
-	}
-}
-
 // String renders the visible counters as "name=value" lines in registration
 // order, followed by any float accumulators.
 func (s *Stats) String() string {
