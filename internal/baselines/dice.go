@@ -47,7 +47,7 @@ type diceSlot struct {
 func NewDICE(kit hybrid.Kit, fastBytes, decompressLatency uint64) *DICE {
 	d := &DICE{
 		Kit:               kit,
-		comp:              compress.New(true),
+		comp:              &compress.Compressor{Aligned: true},
 		dir:               hybrid.NewDirSets[diceSlot](fastBytes/hybrid.CachelineSize, 1),
 		cfCache:           make(map[uint64]uint8),
 		decompressLatency: decompressLatency,
@@ -73,14 +73,12 @@ func (d *DICE) groupCF(group uint64) uint8 {
 		return cf
 	}
 	content := d.Store.Bytes(group*256, 256)
-	var cf uint8
+	cf := uint8(1)
 	switch {
-	case d.comp.FitsWithin(content, 64):
+	case d.comp.RangeFits(content, 4):
 		cf = 4
-	case d.comp.FitsWithin(content[:128], 64) && d.comp.FitsWithin(content[128:], 64):
+	case d.comp.RangeFits(content, 2):
 		cf = 2
-	default:
-		cf = 1
 	}
 	d.cfCache[group] = cf
 	return cf

@@ -83,7 +83,7 @@ func BenchmarkBDIAppendRoundTrip(b *testing.B) {
 }
 
 func BenchmarkRangeFitsAligned(b *testing.B) {
-	c := New(true)
+	c := &Compressor{Aligned: true}
 	rng := sim.NewRNG(9)
 	data := make([]byte, 1024)
 	for off := 0; off < len(data); off += 64 {

@@ -447,15 +447,8 @@ func (c *Controller) directInsert(now uint64, b uint64, s int, dirty bool) {
 	super := c.superOf(b)
 	si := c.setIdx(super)
 
-	// Choose the range (no stage-overlap concerns: the block is absent).
-	start, cf := s, 1
-	for _, try := range []int{4, 2} {
-		st := s &^ (try - 1)
-		if c.rangeFits(c.rangeContentScratch(b, st, try), try) {
-			start, cf = st, try
-			break
-		}
-	}
+	// The block is absent, so no sub-block is taken.
+	start, cf := c.pickRange(b, s, 0)
 	content := c.rangeContent(b, start, cf)
 
 	targetW := -1
@@ -503,24 +496,7 @@ func (c *Controller) directInsertSub(now uint64, b uint64, s int, dirty bool) {
 	if !m.Valid || len(f.occ) >= 8 {
 		return
 	}
-	start, cf := s, 1
-	for _, try := range []int{4, 2} {
-		st := s &^ (try - 1)
-		overlaps := false
-		for i := st; i < st+try; i++ {
-			if i != s && ri.remap&(1<<i) != 0 {
-				overlaps = true
-				break
-			}
-		}
-		if overlaps {
-			continue
-		}
-		if c.rangeFits(c.rangeContentScratch(b, st, try), try) {
-			start, cf = st, try
-			break
-		}
-	}
+	start, cf := c.pickRange(b, s, ri.remap)
 	c.ensureOccCap(f)
 	f.occ = append(f.occ, occRange{blkOff: uint8(c.blkOff(b)), subOff: uint8(start), cf: uint8(cf), dirty: dirty, data: c.rangeContent(b, start, cf)})
 	sortOcc(f.occ)

@@ -96,7 +96,7 @@ func (c *Controller) writebackStageSlot(now uint64, fr *stageFrame, slot int) {
 // slow-to-stage prefetching.
 func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int, content []byte) {
 	bytes := uint64(cf) * c.geom.subBytes
-	if c.cfg.CompressedWriteback && cf > 1 && c.rangeFits(content, cf) {
+	if c.cfg.CompressedWriteback && cf > 1 && c.comp.RangeFits(content, cf) {
 		bytes = c.geom.subBytes
 		switch cf {
 		case 2:
@@ -113,42 +113,56 @@ func (c *Controller) writeRangeToSlow(now uint64, b uint64, subOff, cf int, cont
 	}
 }
 
-// chooseRange picks the maximal contiguous aligned range containing sub s of
-// block b that (a) does not overlap sub-blocks already staged for b and
-// (b) compresses into one sub-block slot. It returns (start, cf).
-func (c *Controller) chooseRange(ssi int, super hybrid.SuperBlockID, blkOff int, b uint64, s int) (int, int) {
+// pickRange picks the maximal contiguous aligned range containing sub s of
+// block b that (a) overlaps none of the sub-blocks in taken other than s and
+// (b) compresses into one sub-block slot, either on a CF hint or by the fit
+// trial. It returns (start, cf) and is the controller's only CF search.
+func (c *Controller) pickRange(b uint64, s int, taken uint8) (int, int) {
 	if c.cfg.CompressionOff {
 		return s, 1
 	}
-	present := func(sub int) bool {
-		w, slot := c.stageFind(ssi, super, blkOff, sub)
-		return w >= 0 && slot >= 0
-	}
-	for _, cf := range []int{4, 2} {
+	for _, cf := range [2]int{4, 2} {
 		start := s &^ (cf - 1)
-		ok := true
-		for i := start; i < start+cf; i++ {
-			if i != s && present(i) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		span := uint8(1<<cf-1) << start
+		if taken&span&^(1<<s) != 0 {
 			continue
 		}
-		// A matching CF hint means the data already sits compressed and
-		// grouped in slow memory; no trial is needed (Section III-F).
-		hinted := (cf == 2 && c.cf2Hint[b]&(1<<(start/2)) != 0) ||
-			(cf == 4 && c.cf4Hint[b]&(1<<(start/4)) != 0)
-		if hinted {
-			return start, cf
-		}
-		content := c.rangeContentScratch(b, start, cf)
-		if c.rangeFits(content, cf) {
+		if c.hinted(b, start, cf) || c.comp.RangeFits(c.rangeContentScratch(b, start, cf), cf) {
 			return start, cf
 		}
 	}
 	return s, 1
+}
+
+// hinted reports whether the range of cf sub-blocks at start of block b sits
+// compressed and grouped in slow memory (Section III-F), so it needs no fit
+// trial and is fetched as one sub-block.
+func (c *Controller) hinted(b uint64, start, cf int) bool {
+	switch cf {
+	case 2:
+		return c.cf2Hint[b]&(1<<(start/2)) != 0
+	case 4:
+		return c.cf4Hint[b]&(1<<(start/4)) != 0
+	}
+	return false
+}
+
+// stagedSubs returns the sub-blocks of the block at blkOff within super that
+// set ssi already stages, as a bitmask.
+func (c *Controller) stagedSubs(ssi int, super hybrid.SuperBlockID, blkOff int) uint8 {
+	var subs uint8
+	for w := 0; w < c.geom.stageWays; w++ {
+		fr := c.stageDir.Payload(ssi, w)
+		if !fr.tag.Valid || fr.tag.Super != super {
+			continue
+		}
+		for _, r := range fr.tag.Slots {
+			if r.Valid && int(r.BlkOff) == blkOff {
+				subs |= uint8(1<<r.CF-1) << r.SubOff
+			}
+		}
+	}
+	return subs
 }
 
 // rangeContent copies the canonical content of cf sub-blocks starting at
@@ -257,7 +271,7 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 		return
 	}
 
-	start, cf := c.chooseRange(ssi, super, blkOff, b, s)
+	start, cf := c.pickRange(b, s, c.stagedSubs(ssi, super, blkOff))
 	content := c.rangeContent(b, start, cf)
 
 	slot := fr.tag.FreeSlot()
@@ -281,8 +295,7 @@ func (c *Controller) stageInsertRange(now uint64, ssi, sw int, b uint64, s int, 
 	// sub-block when a CF hint applies, the raw range otherwise) and written
 	// into the stage region of fast memory.
 	fetch := uint64(cf) * c.geom.subBytes
-	if c.cfg.CompressedWriteback &&
-		((cf == 2 && c.cf2Hint[b]&(1<<(start/2)) != 0) || (cf == 4 && c.cf4Hint[b]&(1<<(start/4)) != 0)) {
+	if c.hinted(b, start, cf) {
 		fetch = c.geom.subBytes
 	}
 	if fetch > 64 {

@@ -38,13 +38,13 @@ func TestFillDeterministicQuick(t *testing.T) {
 // the CF spectrum the paper's workloads need: zero-heavy data compresses
 // best and random data not at all, with the structured classes in between.
 func TestClassCompressibilityOrdering(t *testing.T) {
-	comp := compress.New(false)
+	comp := &compress.Compressor{}
 	meanCF := func(c Class) float64 {
 		total := 0.0
 		var buf [256]byte
 		for b := uint64(0); b < 64; b++ {
 			FillSub(buf[:], b, int(b%8), 0, c)
-			total += comp.AchievedCF(buf[:])
+			total += float64(len(buf)) / float64(comp.CompressedSize(buf[:]))
 		}
 		return total / 64
 	}
@@ -101,14 +101,14 @@ func TestZeroWeightMix(t *testing.T) {
 // TestVersionDegradation verifies that repeated writes eventually make some
 // blocks less compressible — the source of write-overflow events.
 func TestVersionDegradation(t *testing.T) {
-	comp := compress.New(false)
+	comp := &compress.Compressor{}
 	degraded := 0
 	var buf [256]byte
 	for b := uint64(0); b < 200; b++ {
 		FillSub(buf[:], b, 0, 0, ClassZero)
-		cf0 := comp.AchievedCF(buf[:])
+		cf0 := float64(len(buf)) / float64(comp.CompressedSize(buf[:]))
 		FillSub(buf[:], b, 0, 8, ClassZero)
-		cf8 := comp.AchievedCF(buf[:])
+		cf8 := float64(len(buf)) / float64(comp.CompressedSize(buf[:]))
 		if cf8 < cf0/2 {
 			degraded++
 		}
