@@ -38,36 +38,6 @@ func LineOf(addr uint64) int { return int(addr % SubBlockSize / CachelineSize) }
 // LineAddr returns the address truncated to its cacheline.
 func LineAddr(addr uint64) uint64 { return addr &^ (CachelineSize - 1) }
 
-// SubAddr returns the base address of block b's sub-block s.
-func SubAddr(b BlockID, s int) uint64 {
-	return uint64(b)*BlockSize + uint64(s)*SubBlockSize
-}
-
-// Geometry carries the configurable super-block grouping (Fig. 13(b)).
-type Geometry struct {
-	// SuperBlockBlocks is the number of 2 kB blocks per super-block
-	// (default 8, i.e. 16 kB).
-	SuperBlockBlocks int
-}
-
-// DefaultGeometry returns the paper's default 8-block super-blocks.
-func DefaultGeometry() Geometry { return Geometry{SuperBlockBlocks: 8} }
-
-// SuperOf returns the super-block containing block b.
-func (g Geometry) SuperOf(b BlockID) SuperBlockID {
-	return SuperBlockID(uint64(b) / uint64(g.SuperBlockBlocks))
-}
-
-// BlockOffset returns b's index within its super-block (the BlkOff field).
-func (g Geometry) BlockOffset(b BlockID) int {
-	return int(uint64(b) % uint64(g.SuperBlockBlocks))
-}
-
-// BlockAt returns the blkOff-th block of super-block sb.
-func (g Geometry) BlockAt(sb SuperBlockID, blkOff int) BlockID {
-	return BlockID(uint64(sb)*uint64(g.SuperBlockBlocks) + uint64(blkOff))
-}
-
 // Result reports the outcome of one memory-controller access, consumed by
 // the cache hierarchy and the statistics harness.
 type Result struct {

@@ -20,9 +20,6 @@ func TestGeometryHelpers(t *testing.T) {
 	if LineAddr(addr)%CachelineSize != 0 {
 		t.Fatal("LineAddr unaligned")
 	}
-	if SubAddr(5, 3) != 5*BlockSize+3*SubBlockSize {
-		t.Fatal("SubAddr wrong")
-	}
 }
 
 func TestGeometryRoundTripQuick(t *testing.T) {
@@ -34,25 +31,6 @@ func TestGeometryRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSuperBlockGeometry(t *testing.T) {
-	g := DefaultGeometry()
-	if g.SuperOf(7) != 0 || g.SuperOf(8) != 1 {
-		t.Fatal("SuperOf wrong")
-	}
-	if g.BlockOffset(13) != 5 {
-		t.Fatalf("BlockOffset=%d", g.BlockOffset(13))
-	}
-	if g.BlockAt(1, 5) != 13 {
-		t.Fatalf("BlockAt=%d", g.BlockAt(1, 5))
-	}
-	// Round trip: BlockAt(SuperOf(b), BlockOffset(b)) == b.
-	for b := BlockID(0); b < 100; b++ {
-		if g.BlockAt(g.SuperOf(b), g.BlockOffset(b)) != b {
-			t.Fatalf("round trip failed for block %d", b)
-		}
 	}
 }
 
