@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint test race repeat-smoke bench bench-json fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
+.PHONY: build vet lint test race repeat-smoke bench bench-json fuzz-smoke cancel-smoke cxl-smoke examples-smoke metrics-smoke report-smoke serve-smoke chaos-smoke check
 
 # Pinned staticcheck version; CI installs exactly this, so lint results are
 # reproducible. Update deliberately alongside toolchain bumps.
@@ -84,6 +84,15 @@ cancel-smoke:
 cxl-smoke:
 	sh scripts/cxl_smoke.sh
 
+# Builds and runs every examples/ main (about 6 s together); a non-zero exit
+# fails the target. quickstart exits non-zero when the controller's
+# structural invariants are violated.
+examples-smoke:
+	for d in examples/*/; do \
+		echo "run $$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+
 # End-to-end observability check: scrape /metrics from a live run and lint it
 # with the in-repo OpenMetrics validator, then lint the -metrics-out file.
 # Loopback only, so it passes offline (see scripts/metrics_smoke.sh).
@@ -110,4 +119,4 @@ serve-smoke:
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
-check: build vet lint race repeat-smoke bench fuzz-smoke cancel-smoke cxl-smoke metrics-smoke report-smoke serve-smoke chaos-smoke
+check: build vet lint race repeat-smoke bench fuzz-smoke cancel-smoke cxl-smoke examples-smoke metrics-smoke report-smoke serve-smoke chaos-smoke

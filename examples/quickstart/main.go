@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"baryon/internal/config"
 	"baryon/internal/core"
@@ -70,8 +71,8 @@ func main() {
 	fmt.Printf("commits:         %d\n", stats.Get("baryon.commits"))
 	fmt.Printf("slow bytes read: %d\n", stats.Get("NVM.bytesRead"))
 	if msg := ctrl.CheckInvariants(); msg != "" {
-		fmt.Printf("INVARIANT VIOLATION: %s\n", msg)
-	} else {
-		fmt.Println("structural invariants: ok")
+		fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: %s\n", msg)
+		os.Exit(1)
 	}
+	fmt.Println("structural invariants: ok")
 }
