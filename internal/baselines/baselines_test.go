@@ -105,6 +105,41 @@ func TestUnisonFootprintLearning(t *testing.T) {
 	}
 }
 
+// TestFIFOReplacement drives one 4-way set under the "fifo" policy: blocks
+// 0-3 fill it, block 4 evicts block 0 and block 5 evicts block 1, so block 4
+// is still cached when it is read again. A controller that never stamps the
+// allocation rank leaves FIFO evicting way 0 every time, and block 5 then
+// evicts block 4.
+func TestFIFOReplacement(t *testing.T) {
+	for _, tc := range []struct {
+		kind  string
+		build func(kit hybrid.Kit) hybrid.Controller
+		hits  string
+	}{
+		{"simple", func(kit hybrid.Kit) hybrid.Controller {
+			return NewSimple(kit, 4, 4, hybrid.FIFO{})
+		}, "simple.hits"},
+		{"unison", func(kit hybrid.Kit) hybrid.Controller {
+			return NewUnison(kit, 4, 4, hybrid.FIFO{}, 1)
+		}, "unison.blockHits"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			stats := sim.NewStats()
+			ctrl := tc.build(defaultKit(t, testStore(), stats))
+			for b := uint64(0); b <= 5; b++ {
+				ctrl.Access(0, b*hybrid.BlockSize, false, nil)
+			}
+			if got := stats.Get(tc.hits); got != 0 {
+				t.Fatalf("%s = %d after six distinct blocks, want 0", tc.hits, got)
+			}
+			ctrl.Access(0, 4*hybrid.BlockSize, false, nil)
+			if got := stats.Get(tc.hits); got != 1 {
+				t.Fatalf("re-read of block 4 missed (%s = %d): FIFO evicted the newest block", tc.hits, got)
+			}
+		})
+	}
+}
+
 func TestUnisonDrive(t *testing.T) {
 	store := testStore()
 	stats := sim.NewStats()
