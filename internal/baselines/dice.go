@@ -84,12 +84,12 @@ func (d *DICE) groupCF(group uint64) uint8 {
 	return cf
 }
 
-// slotFor returns the slot halves and run id for a line at the group's CF.
-func (d *DICE) slotFor(lineIdx uint64, cf uint8) (*hybrid.WayMeta, *diceSlot, uint64, uint64) {
+// slotFor returns the set index, payload and run id of the slot for a line
+// at the group's CF, plus the slot's fast-memory address.
+func (d *DICE) slotFor(lineIdx uint64, cf uint8) (int, *diceSlot, uint64, uint64) {
 	run := lineIdx / uint64(cf)
 	si := d.dir.SetIndex(run)
-	meta, slot := d.dir.Way(si, 0)
-	return meta, slot, run, uint64(si) * 64
+	return si, d.dir.Payload(si, 0), run, uint64(si) * 64
 }
 
 // Access implements hybrid.Controller.
@@ -98,14 +98,14 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 	lineIdx := addr / 64
 	group := addr / 256
 	cf := d.groupCF(group)
-	meta, slot, run, slotAddr := d.slotFor(lineIdx, cf)
+	si, slot, run, slotAddr := d.slotFor(lineIdx, cf)
 	within := uint8(lineIdx % uint64(cf))
 
 	if write {
 		d.Store.WriteLine(addr, data)
 	}
 
-	if meta.Valid && meta.Key == run && slot.cf == cf && slot.present&(1<<within) != 0 {
+	if d.dir.Lookup(si, run) >= 0 && slot.cf == cf && slot.present&(1<<within) != 0 {
 		d.hits.Inc()
 		if write {
 			// The write may change the group's compressibility; with the
@@ -114,8 +114,8 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 			delete(d.cfCache, group)
 			newCF := d.groupCF(group)
 			if newCF != cf {
-				d.writebackSlot(now, meta, slot)
-				meta.Valid = false
+				d.writebackSlot(now, si, slot)
+				d.dir.Invalidate(si, 0)
 				d.installRun(now, lineIdx, newCF, true)
 			} else {
 				slot.dirty |= 1 << within
@@ -161,10 +161,10 @@ func (d *DICE) Access(now uint64, addr uint64, write bool, data []byte) hybrid.R
 // installRun installs the compressed run containing lineIdx, evicting any
 // dirty occupant of the slot.
 func (d *DICE) installRun(now uint64, lineIdx uint64, cf uint8, write bool) {
-	meta, slot, run, slotAddr := d.slotFor(lineIdx, cf)
+	si, slot, run, slotAddr := d.slotFor(lineIdx, cf)
 	within := uint8(lineIdx % uint64(cf))
-	if meta.Valid && (meta.Key != run || slot.cf != cf) {
-		d.writebackSlot(now, meta, slot)
+	if d.dir.Lookup(si, run) < 0 || slot.cf != cf {
+		d.writebackSlot(now, si, slot)
 	}
 	var present uint8
 	for l := uint8(0); l < cf; l++ {
@@ -175,7 +175,7 @@ func (d *DICE) installRun(now uint64, lineIdx uint64, cf uint8, write bool) {
 		d.Engine().FetchSlow(now, run*uint64(cf)*64, 64)
 	}
 	d.Engine().FillFast(now, slotAddr, 64)
-	*meta = hybrid.WayMeta{Key: run, Valid: true}
+	d.dir.Fill(si, 0, run, 0)
 	ns := diceSlot{cf: cf, present: present}
 	if write {
 		ns.dirty = 1 << within
@@ -183,8 +183,9 @@ func (d *DICE) installRun(now uint64, lineIdx uint64, cf uint8, write bool) {
 	*slot = ns
 }
 
-func (d *DICE) writebackSlot(now uint64, meta *hybrid.WayMeta, slot *diceSlot) {
-	if !meta.Valid || slot.dirty == 0 {
+func (d *DICE) writebackSlot(now uint64, si int, slot *diceSlot) {
+	key, valid := d.dir.Tag(si, 0)
+	if !valid || slot.dirty == 0 {
 		return
 	}
 	n := uint64(0)
@@ -193,6 +194,6 @@ func (d *DICE) writebackSlot(now uint64, meta *hybrid.WayMeta, slot *diceSlot) {
 			n++
 		}
 	}
-	d.Engine().Writeback(now, meta.Key*uint64(slot.cf)*64, n*64)
+	d.Engine().Writeback(now, key*uint64(slot.cf)*64, n*64)
 	slot.dirty = 0
 }

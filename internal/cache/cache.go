@@ -32,7 +32,7 @@ type Config struct {
 }
 
 // cacheLine is the per-way payload in the kit's tag directory; the line
-// address, valid bit and LRU rank live in the directory's WayMeta.
+// address, valid bit and LRU rank live in the directory's way metadata.
 type cacheLine struct {
 	dirty bool
 }
@@ -90,10 +90,9 @@ func (c *Cache) find(addr uint64) (int, int) {
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.tick++
 	if si, w := c.find(addr); w >= 0 {
-		m, line := c.dir.Way(si, w)
-		m.LastUse = c.tick
+		c.dir.Touch(si, w, c.tick)
 		if write {
-			line.dirty = true
+			c.dir.Payload(si, w).dirty = true
 		}
 		c.hits.Inc()
 		return true
@@ -124,23 +123,23 @@ func (c *Cache) Install(addr uint64, dirty bool) Victim {
 	c.tick++
 	si, w := c.find(addr)
 	if w >= 0 {
-		m, line := c.dir.Way(si, w)
-		m.LastUse = c.tick
+		c.dir.Touch(si, w, c.tick)
+		line := c.dir.Payload(si, w)
 		line.dirty = line.dirty || dirty
 		return Victim{}
 	}
 	vw := c.dir.Victim(si, c.rep)
-	m, line := c.dir.Way(si, vw)
+	line := c.dir.Payload(si, vw)
 	v := Victim{}
-	if m.Valid {
-		v = Victim{Addr: m.Key, Dirty: line.dirty, Valid: true}
+	if key, valid := c.dir.Tag(si, vw); valid {
+		v = Victim{Addr: key, Dirty: line.dirty, Valid: true}
 	}
 	if c.sharers != nil {
 		i := si*c.cfg.Ways + vw
 		v.Sharers = c.sharers[i]
 		c.sharers[i] = 0
 	}
-	*m = hybrid.WayMeta{Key: addr, Valid: true, LastUse: c.tick}
+	c.dir.Fill(si, vw, addr, c.tick)
 	*line = cacheLine{dirty: dirty}
 	return v
 }
@@ -183,9 +182,9 @@ func (c *Cache) release(addr, mask uint64, dirty bool) bool {
 // Invalidate removes the line if present, reporting (present, wasDirty).
 func (c *Cache) Invalidate(addr uint64) (bool, bool) {
 	if si, w := c.find(addr); w >= 0 {
-		m, line := c.dir.Way(si, w)
+		line := c.dir.Payload(si, w)
 		dirty := line.dirty
-		*m = hybrid.WayMeta{}
+		c.dir.Invalidate(si, w)
 		*line = cacheLine{}
 		if c.sharers != nil {
 			c.sharers[si*c.cfg.Ways+w] = 0
@@ -200,8 +199,8 @@ func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
 	for si := 0; si < c.cfg.Sets; si++ {
 		for w := 0; w < c.cfg.Ways; w++ {
-			if m, line := c.dir.Way(si, w); m.Valid && line.dirty {
-				out = append(out, m.Key)
+			if key, valid := c.dir.Tag(si, w); valid && c.dir.Payload(si, w).dirty {
+				out = append(out, key)
 			}
 		}
 	}
@@ -213,8 +212,8 @@ func (c *Cache) Lines() []uint64 {
 	var out []uint64
 	for si := 0; si < c.cfg.Sets; si++ {
 		for w := 0; w < c.cfg.Ways; w++ {
-			if m, _ := c.dir.Way(si, w); m.Valid {
-				out = append(out, m.Key)
+			if key, valid := c.dir.Tag(si, w); valid {
+				out = append(out, key)
 			}
 		}
 	}

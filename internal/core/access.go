@@ -92,8 +92,8 @@ func (c *Controller) metaUpdate(now uint64, super hybrid.SuperBlockID) {
 // --- Case 1: block in stage area, sub-block hit ------------------------
 
 func (c *Controller) caseStageHit(now, stageT uint64, ssi, sw, slot int, b uint64, s, line int, write bool, data []byte) hybrid.Result {
-	sm, fr := c.stageDir.Way(ssi, sw)
-	sm.LastUse = c.seq
+	fr := c.stageDir.Payload(ssi, sw)
+	c.stageDir.Touch(ssi, sw, c.seq)
 	c.stageState[ssi].mruWay = sw
 	c.ctr.stageHits.Inc()
 	c.recordStageEvent(fr, false)
@@ -210,8 +210,8 @@ func (c *Controller) caseZeroBlock(now, rmT uint64, b uint64, s, line int, write
 func (c *Controller) caseFastHit(now, rmT uint64, ri *remapInfo, b uint64, s, line int, write bool, data []byte) hybrid.Result {
 	super := c.superOf(b)
 	si := c.setIdx(super)
-	m, fr := c.fastDir.Way(si, int(ri.way))
-	m.LastUse = c.seq
+	fr := c.fastDir.Payload(si, int(ri.way))
+	c.fastDir.Touch(si, int(ri.way), c.seq)
 	idx := findOcc(fr, uint8(c.blkOff(b)), uint8(s))
 	if idx < 0 {
 		panic("core: remap bit set but no committed range")

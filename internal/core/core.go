@@ -32,7 +32,7 @@ type occRange struct {
 // directory (hybrid.Dir): the committed ranges of a single super-block
 // (Rule 1 — the super-block's ID is the way's key) plus, in flat mode, the
 // OS block homed at this frame. Validity and the LRU/FIFO ranks live in the
-// directory's WayMeta.
+// directory's way metadata.
 type fastFrame struct {
 	occ    []occRange // sorted by (blkOff, subOff), at most 8 slots
 	native uint64     // flat mode: the OS block homed at this frame
@@ -41,7 +41,8 @@ type fastFrame struct {
 // stageFrame is the payload of one stage-area way: the architectural stage
 // tag entry, the staged range content, and the Fig. 3/4 instrumentation.
 // The recency/age ranks of the two-level replacement policy live in the
-// directory's WayMeta, whose Valid bit mirrors tag.Valid.
+// directory's way metadata, whose tag and valid bit mirror tag.Super and
+// tag.Valid (CheckInvariants checks this).
 type stageFrame struct {
 	tag  metadata.StageTag
 	data [8][]byte // uncompressed range content per slot
@@ -276,9 +277,8 @@ func (c *Controller) initFlatResidents() {
 			if b >= c.geom.osBlocks {
 				continue
 			}
-			m, f := c.fastDir.Way(int(q), w)
-			m.Valid = true
-			m.Key = uint64(c.superOf(b))
+			c.fastDir.Fill(int(q), w, uint64(c.superOf(b)), 0)
+			f := c.fastDir.Payload(int(q), w)
 			f.native = b
 			f.occ = nil
 			c.ensureOccCap(f)

@@ -328,10 +328,10 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 	blkOff := c.blkOff(b)
 	oldW := *sw
 	old := c.stageDir.Payload(ssi, oldW)
-	nm, nw := c.stageDir.Way(ssi, lru)
+	nw := c.stageDir.Payload(ssi, lru)
 	nw.tag = metadata.StageTag{Valid: true, Super: super}
 	nw.data = [8][]byte{}
-	*nm = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
+	c.stageDir.Fill(ssi, lru, uint64(super), c.seq)
 	nw.events = nw.events[:0]
 	nw.accesses = 0
 	nw.instStart = c.instructionsSeen
@@ -366,14 +366,14 @@ func (c *Controller) stageFullSlot(now uint64, ssi int, sw *int, b uint64) int {
 // way index, or -1 if allocation failed.
 func (c *Controller) stageAllocate(now uint64, ssi int, super hybrid.SuperBlockID) int {
 	w := c.stageDir.Victim(ssi, c.stageRep)
-	m, fr := c.stageDir.Way(ssi, w)
+	fr := c.stageDir.Payload(ssi, w)
 	if fr.tag.Valid {
 		c.ctr.blockReplacements.Inc()
 		c.finishStageFrame(now, ssi, w)
 	}
 	fr.tag = metadata.StageTag{Valid: true, Super: super}
 	fr.data = [8][]byte{}
-	*m = hybrid.WayMeta{Key: uint64(super), Valid: true, LastUse: c.seq, AllocSeq: c.seq}
+	c.stageDir.Fill(ssi, w, uint64(super), c.seq)
 	fr.events = fr.events[:0]
 	fr.accesses = 0
 	fr.instStart = c.instructionsSeen

@@ -172,18 +172,45 @@ func TestDirVictimAndLookup(t *testing.T) {
 				if w < 0 || w >= d.Assoc() {
 					t.Fatalf("%s: victim %d out of range", p.Name(), w)
 				}
-				m, _ := d.Way(si, w)
-				*m = WayMeta{Key: key, Valid: true, AllocSeq: seq}
+				d.Fill(si, w, key, seq)
 			}
-			m, _ := d.Way(si, w)
-			if !m.Valid || m.Key != key {
-				t.Fatalf("%s: way (%d,%d) holds key %d valid=%v, want %d", p.Name(), si, w, m.Key, m.Valid, key)
+			if got, valid := d.Tag(si, w); !valid || got != key {
+				t.Fatalf("%s: way (%d,%d) holds key %d valid=%v, want %d", p.Name(), si, w, got, valid, key)
 			}
-			m.LastUse = seq
+			d.Touch(si, w, seq)
 			seq++
 			if again := d.Lookup(si, key); again != w {
 				t.Fatalf("%s: Lookup after install = %d, want %d", p.Name(), again, w)
 			}
+			if i%7 == 0 {
+				d.Invalidate(si, w)
+				if d.Lookup(si, key) >= 0 {
+					t.Fatalf("%s: Lookup found key %d after Invalidate", p.Name(), key)
+				}
+			}
 		}
+	}
+}
+
+// TestDirInvalidateKeepsRanks pins what Invalidate leaves behind: the way
+// stops matching, first-invalid policies take it next, and TwoLevelBlock
+// still orders an invalid way 0 by the LastUse it had, so a recently used
+// way 0 is not the victim.
+func TestDirInvalidateKeepsRanks(t *testing.T) {
+	d := NewDirSets[int](1, 4)
+	for w, seq := range []uint64{10, 1, 2, 3} {
+		d.Fill(0, w, uint64(100+w), seq)
+	}
+	d.Invalidate(0, 0)
+	if _, valid := d.Tag(0, 0); valid {
+		t.Fatal("way 0 still valid after Invalidate")
+	}
+	for _, p := range []Replacer{LRU{}, FIFO{}, NewRandom(1)} {
+		if v := d.Victim(0, p); v != 0 {
+			t.Fatalf("%s: victim %d, want the invalid way 0", p.Name(), v)
+		}
+	}
+	if v := d.Victim(0, TwoLevelBlock{}); v != 1 {
+		t.Fatalf("two-level: victim %d, want way 1 (way 0 keeps LastUse 10)", v)
 	}
 }
