@@ -42,19 +42,20 @@ func TestStoreLazyFill(t *testing.T) {
 			dst[i] = byte(b)
 		}
 	})
-	if s.Touched() != 0 {
-		t.Fatal("store not empty")
+	if fills != 0 {
+		t.Fatal("store filled a block before any access")
 	}
 	line := s.Line(3 * BlockSize)
 	if line[0] != 3 {
 		t.Fatalf("fill content wrong: %d", line[0])
 	}
 	s.Line(3*BlockSize + 512)
+	s.Sub(3, 7)
 	if fills != 1 {
 		t.Fatalf("block filled %d times", fills)
 	}
-	if s.Touched() != 1 {
-		t.Fatalf("touched=%d", s.Touched())
+	if s.Line(4 * BlockSize)[0] != 4 || fills != 2 {
+		t.Fatalf("second block: fills=%d", fills)
 	}
 }
 
@@ -74,8 +75,9 @@ func TestStoreWriteRead(t *testing.T) {
 	if !bytes.Equal(s.Line(5*BlockSize+128), data) {
 		t.Fatal("line write lost")
 	}
+	// Sub aliases the block: writes through it are writes of the store.
 	sub := bytes.Repeat([]byte{0xCD}, SubBlockSize)
-	s.WriteSub(5, 2, sub)
+	copy(s.Sub(5, 2), sub)
 	if !bytes.Equal(s.Sub(5, 2), sub) {
 		t.Fatal("sub write lost")
 	}

@@ -55,11 +55,6 @@ func (s *Store) Line(addr uint64) []byte {
 	return blk[off : off+CachelineSize]
 }
 
-// WriteSub replaces sub-block sub of block b with data (256 B).
-func (s *Store) WriteSub(b BlockID, sub int, data []byte) {
-	copy(s.Sub(b, sub), data)
-}
-
 // WriteLine replaces the 64 B line at addr with data.
 func (s *Store) WriteLine(addr uint64, data []byte) {
 	copy(s.Line(addr), data)
@@ -76,6 +71,3 @@ func (s *Store) Bytes(addr uint64, n int) []byte {
 	blk := s.Block(BlockOf(addr))
 	return blk[off : off+uint64(n)]
 }
-
-// Touched returns the number of materialised blocks (footprint tracking).
-func (s *Store) Touched() int { return len(s.blocks) }

@@ -45,7 +45,7 @@ func TestCXLZeroConfigNoOp(t *testing.T) {
 		return c
 	}()} {
 		d, stats := run(cfg)
-		if d.HasCXL() {
+		if d.Counters().CXLLinkBytes != nil {
 			t.Fatalf("zero-valued CXLParams must not enable the link model")
 		}
 		for _, name := range wantStats.Names() {

@@ -188,9 +188,6 @@ func NewDevice(cfg Config, stats *sim.Stats) *Device {
 	return d
 }
 
-// HasCXL reports whether the device sits behind a CXL-expander link.
-func (d *Device) HasCXL() bool { return d.link != nil }
-
 // SetContentProbe attaches a function that returns the current bytes at a
 // device address, used by expander-side compression to estimate the
 // compressed size crossing the internal path. Only CXL devices with a
@@ -453,9 +450,6 @@ func (d *Device) inject(addr, size uint64, write bool) {
 // EnergyPJ returns the accumulated access energy in picojoules. It is a
 // thin read of the registry accumulator.
 func (d *Device) EnergyPJ() float64 { return d.energy.Value() }
-
-// TotalBytes returns the total bytes moved in either direction.
-func (d *Device) TotalBytes() uint64 { return d.bytesRead.Value() + d.bytesWritten.Value() }
 
 // Reset clears all timing state. The traffic/energy/latency counters live
 // on the run's Stats registry and are left as they are.

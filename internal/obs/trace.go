@@ -112,10 +112,6 @@ func (t *Tracer) EndReq(done uint64) {
 	t.sampling = false
 }
 
-// Active reports whether the current request is sampled; layers use it to
-// skip building span arguments entirely on unsampled requests.
-func (t *Tracer) Active() bool { return t.sampling }
-
 // Span records a complete ('X') span [start, end) on the current request.
 // No-op unless the current request is sampled.
 func (t *Tracer) Span(name, cat string, start, end uint64) {

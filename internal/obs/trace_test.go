@@ -56,16 +56,16 @@ func TestTracerSpansOutsideRequestIgnored(t *testing.T) {
 		t.Fatalf("events recorded outside a request: %d", len(tr.Events()))
 	}
 	tr.BeginReq(0, 64, 10)
-	if !tr.Active() {
-		t.Fatal("Active() false during sampled request")
-	}
+	tr.Span("L1", "hit", 10, 14) // inside the sampled request
 	tr.EndReq(20)
-	if tr.Active() {
-		t.Fatal("Active() true after EndReq")
-	}
 	tr.Span("L1", "hit", 20, 24) // after EndReq
-	if got := len(tr.Events()); got != 2 {
-		t.Fatalf("len(Events()) = %d, want 2 (issue+req only)", got)
+	tr.EndReq(30)                // no request open: no second "req" span
+	var names []string
+	for _, e := range tr.Events() {
+		names = append(names, e.Name)
+	}
+	if got := strings.Join(names, ","); got != "issue,L1,req" {
+		t.Fatalf("events = %s, want issue,L1,req", got)
 	}
 }
 
