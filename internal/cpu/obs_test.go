@@ -113,3 +113,46 @@ func keys(m map[string]sim.HistSummary) []string {
 	sort.Strings(out)
 	return out
 }
+
+// TestRunStatusViewsAgree checks that a status published during the
+// measurement phase describes one window in every view: the counter, float
+// and histogram digests behind /runz and expvar equal the snapshot /metrics
+// renders, and all of them exclude the warmup.
+func TestRunStatusViewsAgree(t *testing.T) {
+	cfg := smallConfig()
+	cfg.WarmupAccessesPerCore = 500
+	w, _ := trace.ByName("505.mcf_r")
+	r := cpu.NewRunnerSource(cfg, w, baryonFactory)
+	var in obs.Introspector
+	r.SetIntrospector(&in, 1000)
+	r.Run()
+
+	st := in.Latest()
+	if st == nil || st.Phase != "measure" {
+		t.Fatalf("last published status = %+v, want the measure phase", st)
+	}
+	for _, c := range st.Counters {
+		if want := float64(st.Snap.Get(c.Name)); c.Value != want {
+			t.Errorf("counter %s: digest %.0f, snapshot %.0f", c.Name, c.Value, want)
+		}
+	}
+	for _, f := range st.Floats {
+		if want := st.Snap.GetFloat(f.Name); f.Value != want {
+			t.Errorf("float %s: digest %g, snapshot %g", f.Name, f.Value, want)
+		}
+	}
+	for _, h := range st.Hists {
+		sh, ok := st.Snap.Hist(h.Name)
+		if !ok || h.Summary != sh.Summary() {
+			t.Errorf("histogram %s: digest %+v, snapshot %+v", h.Name, h.Summary, sh.Summary())
+		}
+	}
+	if got, want := len(st.Counters), len(st.Snap.CounterNames()); got != want {
+		t.Errorf("%d counter digests for %d snapshot counters", got, want)
+	}
+	const llc = "hierarchy.llcMisses"
+	total := r.Controller().Stats().Get(llc)
+	if window := st.Snap.Get(llc); window == 0 || window >= total {
+		t.Errorf("%s: window %d, run total %d; want 0 < window < total", llc, window, total)
+	}
+}
