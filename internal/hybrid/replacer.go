@@ -9,7 +9,8 @@ import "baryon/internal/sim"
 
 // Replacer selects the way to evict from a set.
 type Replacer interface {
-	// Victim returns the index of the way to replace. set is never empty.
+	// Victim returns the index of the way to replace. set is never empty,
+	// and it is the directory's own storage: Victim must only read it.
 	Victim(set []WayMeta) int
 	// Name identifies the policy (for DesignSpec serialisation and reports).
 	Name() string
